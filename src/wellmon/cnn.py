@@ -9,9 +9,11 @@ the finite-difference gradient check is meaningful.
 
 Training is mini-batch Adam on the MSE between predicted probability and
 the 0/1 label, with weight decay added to the gradient as lambda * theta
-before the moment updates (the coupled convention). Reductions over the
-batch run in a fixed order, so a seeded fit gives the same bits at any
-BLAS thread count.
+before the moment updates (the coupled convention). The step decays from
+learning_rate along a half cosine over the epochs (Loshchilov & Hutter
+2017), so an outlier batch late in training cannot throw the final weights
+off. Reductions over the batch run in a fixed order, so a seeded fit gives
+the same bits at any BLAS thread count.
 """
 
 import json
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
+from .logreg import sigmoid
 from .validation import as_label_vector
 
 
@@ -32,21 +35,12 @@ class TrainingDivergedError(RuntimeError):
 # activations: (value, derivative) evaluated at the pre-activation
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
-
-
 ACTIVATIONS = {
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
+    "sigmoid": (sigmoid, lambda z: sigmoid(z) * (1.0 - sigmoid(z))),
     "swish": (
-        lambda z: z * _sigmoid(z),
-        lambda z: _sigmoid(z) * (1.0 + z * (1.0 - _sigmoid(z))),
+        lambda z: z * sigmoid(z),
+        lambda z: sigmoid(z) * (1.0 + z * (1.0 - sigmoid(z))),
     ),
     "relu": (
         lambda z: np.maximum(z, 0.0),
@@ -153,7 +147,8 @@ class CnnClassifier(BaseEstimator):
     ----------
     activation : str
         One of tanh, sigmoid, swish, relu, leaky_relu.
-    learning_rate, weight_decay, batch_size, epochs : training knobs.
+    learning_rate, weight_decay, batch_size, epochs : training knobs;
+        learning_rate is the first epoch's step, decayed by a half cosine.
     adam_betas, adam_eps : Adam moment parameters.
     conv_layers : tuple of (out_channels, kernel_size)
         Convolution stack; each layer is followed by the average pool.
@@ -277,7 +272,7 @@ class CnnClassifier(BaseEstimator):
         cache["embedding"] = embedding
         z4 = embedding @ self.params_["fc2.W"].T + self.params_["fc2.b"]
         cache["z4"] = z4
-        cache["probs"] = _sigmoid(z4)[:, 0]
+        cache["probs"] = sigmoid(z4)[:, 0]
         return cache
 
     def forward(self, X):
@@ -335,6 +330,9 @@ class CnnClassifier(BaseEstimator):
         n = X.shape[0]
         batch_size = min(self.batch_size, n)
         for epoch in range(self.epochs):
+            # half-cosine decay from learning_rate towards 0 over the epochs
+            decay = 0.5 * (1.0 + np.cos(np.pi * epoch / self.epochs))
+            step = self.learning_rate * decay
             perm = rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, batch_size):
@@ -352,7 +350,7 @@ class CnnClassifier(BaseEstimator):
                     v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
                     mhat = m[name] / (1.0 - beta1**t)
                     vhat = v[name] / (1.0 - beta2**t)
-                    param -= self.learning_rate * mhat / (np.sqrt(vhat) + self.adam_eps)
+                    param -= step * mhat / (np.sqrt(vhat) + self.adam_eps)
             # epoch training curve = sample-weighted mean of the batch losses
             history["train_mse"].append(epoch_loss / n)
             if eval_set is not None:

@@ -192,7 +192,7 @@ class GeneratorConfig:
 
 def _generate_one(config, series_index, label):
     """One stationary AR(1) series. The RNG stream is derived from
-    (seed, series_index), so serial and parallel generation agree bitwise.
+    (seed, series_index) alone, so a series does not depend on the others.
 
     Draw order per series: initial state, innovations, sensor noise.
     """
@@ -425,14 +425,20 @@ def save_series_set(series_set, out_dir):
 
 
 def load_series_set(in_dir):
-    """Read back a directory written by save_series_set."""
+    """Read back a directory written by save_series_set.
+
+    Every sidecar must carry the same noise_level and seed; a directory
+    mixing sets raises ValueError naming two files that disagree.
+    """
     in_dir = Path(in_dir)
     stems = sorted(p.with_suffix("") for p in in_dir.glob("series_*.csv"))
     if not stems:
         raise FileNotFoundError(f"no series_*.csv files under {in_dir}")
-    items = []
-    noise_level = seed = None
-    for stem in stems:
-        series, label, noise_level, seed = load_series(stem)
-        items.append((series, label))
-    return LabeledSeriesSet(tuple(items), noise_level, seed)
+    loaded = [load_series(stem) for stem in stems]
+    for stem, (_, _, noise_level, seed) in zip(stems, loaded):
+        if (noise_level, seed) != loaded[0][2:]:
+            raise ValueError(
+                f"{stem}.json has noise_level {noise_level}, seed {seed}, but "
+                f"{stems[0]}.json has noise_level {loaded[0][2]}, seed {loaded[0][3]}"
+            )
+    return LabeledSeriesSet(tuple(item[:2] for item in loaded), *loaded[0][2:])

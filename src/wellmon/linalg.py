@@ -1,10 +1,15 @@
-"""Symmetric eigendecomposition via cyclic Jacobi rotations.
+"""Symmetric eigendecomposition by batched Jacobi rotations in parallel order.
 
 Feature dimensions in this toolkit stay small (m <= 21), where Jacobi is
-simple, robust, and has no external dependency. Quadratic convergence makes
-the absolute off-diagonal tolerance of 1e-12 reachable in a handful of
-sweeps.
+simple, robust, and has no external dependency. A sweep is a round-robin
+schedule (Brent & Luk 1985; Golub & Van Loan, section 8.5): each round
+rotates floor(n/2) disjoint pivot pairs of every matrix in a stack at once,
+as one rotation J per matrix. Quadratic convergence reaches the absolute
+off-diagonal tolerance 1e-12 in a handful of sweeps. One-matrix calls are
+batches of one, and a matrix gets the same bits in any batch.
 """
+
+from functools import cache
 
 import numpy as np
 
@@ -12,6 +17,7 @@ from .validation import check_symmetric
 
 OFFDIAG_TOL = 1e-12
 MAX_SWEEPS = 100
+_TINY = np.finfo(np.float64).tiny
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -19,61 +25,114 @@ class JacobiConvergenceError(RuntimeError):
 
 
 def offdiag_norm(A):
-    """Frobenius norm of the off-diagonal part."""
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(off * off)))
+    """Frobenius norm of the off-diagonal part (per matrix of a stack)."""
+    off = np.array(A, dtype=np.float64)
+    idx = np.arange(off.shape[-1])
+    off[..., idx, idx] = 0.0
+    return np.sqrt(np.sum(off * off, axis=(-2, -1)))
+
+
+@cache
+def round_robin_schedule(n):
+    """One sweep as rounds of disjoint pivot pairs: a tuple of (p, q) index
+    arrays with p < q. Every pair appears exactly once; odd n gets n rounds
+    through a dummy index, even n gets n - 1."""
+    ring = list(range(n + n % 2))
+    half = len(ring) // 2
+    rounds = []
+    for _ in range(len(ring) - 1):
+        pairs = sorted(
+            sorted(pair) for pair in zip(ring[:half], ring[::-1]) if max(pair) < n
+        )
+        if pairs:
+            pq = np.array(pairs).T
+            pq.flags.writeable = False  # cached: shared by every caller
+            rounds.append(tuple(pq))
+        ring = [ring[0], ring[-1]] + ring[1:-1]
+    return tuple(rounds)
+
+
+@cache
+def _flat_rounds(n):
+    """Per round, row-major flat indices of the (pq, pp, qq) entries read
+    and the (pp, qq, pq, qp) entries written."""
+    return tuple(
+        (np.concatenate((p * n + q, p * (n + 1), q * (n + 1))),
+         np.concatenate((p * (n + 1), q * (n + 1), p * n + q, q * n + p)))
+        for p, q in round_robin_schedule(n)
+    )
+
+
+def _rotate_round(a, v, flat_idx, skip):
+    """Annihilate one round's pivots in every matrix at once: a <- J^T a J,
+    v <- v J. Pivots with |a_pq| <= skip get the identity rotation."""
+    gather, scatter = flat_idx
+    batch, n, _ = a.shape
+    k = len(gather) // 3
+    entries = a.reshape(batch, -1)[:, gather]
+    apq, app, aqq = entries[:, :k], entries[:, k : 2 * k], entries[:, 2 * k :]
+    rotate = np.abs(apq) > skip
+    two_apq = 2.0 * apq * rotate
+    diff = aqq - app
+    # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)), theta = diff / (2 a_pq),
+    # scaled by |2 a_pq|: no overflow, and t = 0 (the identity) where skipped
+    t = np.copysign(1.0, diff) * two_apq / np.maximum(
+        np.abs(diff) + np.hypot(diff, two_apq), _TINY
+    )
+    c = 1.0 / np.hypot(t, 1.0)
+    s = t * c
+    J = np.zeros((batch, n * n))
+    J[:, :: n + 1] = 1.0
+    J[:, scatter] = np.concatenate((c, c, s, -s), axis=1)
+    J = J.reshape(a.shape)
+    a = (J.transpose(0, 2, 1) @ a @ J).reshape(batch, -1)
+    # kill round-off asymmetry in the annihilated pairs
+    keep = ~rotate
+    a[:, scatter[2 * k :]] *= np.concatenate((keep, keep), axis=1)
+    return a.reshape(J.shape), v @ J
+
+
+def jacobi_eigh_batch(mats, tol=OFFDIAG_TOL, max_sweeps=MAX_SWEEPS):
+    """Jacobi eigendecomposition of a (B, n, n) stack of symmetric matrices.
+
+    Returns (eigenvalues (B, n), eigenvectors (B, n, n)) with eigenvectors
+    in columns, unsorted. A matrix is done once its off-diagonal Frobenius
+    norm is below tol; pivots below tol/(2n) are skipped, so the remaining
+    off-diagonal mass then stays under tol.
+    """
+    a = np.array(mats, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrices contain non-finite entries")
+    asym = np.max(np.abs(a - a.transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
+    if np.any(asym > 1e-8):
+        raise ValueError(f"matrix {np.argmax(asym)} is not symmetric within 1e-8")
+    a = 0.5 * (a + a.transpose(0, 2, 1))
+    n = a.shape[1]
+    v = np.broadcast_to(np.eye(n), a.shape).copy()
+    skip = tol / (2.0 * n)
+    for _ in range(max_sweeps):
+        todo = np.flatnonzero(offdiag_norm(a) >= tol)
+        if todo.size == 0:
+            break
+        sub_a, sub_v = a[todo], v[todo]
+        for flat_idx in _flat_rounds(n):
+            sub_a, sub_v = _rotate_round(sub_a, sub_v, flat_idx, skip)
+        a[todo], v[todo] = sub_a, sub_v
+    else:
+        raise JacobiConvergenceError(
+            f"off-diagonal norm {np.max(offdiag_norm(a)):.3e} "
+            f"after {max_sweeps} sweeps"
+        )
+    return np.diagonal(a, axis1=1, axis2=2).copy(), v
 
 
 def jacobi_eigh(A, tol=OFFDIAG_TOL, max_sweeps=MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    unsorted. Convergence is off-diagonal Frobenius norm < tol.
-    """
+    """Eigendecomposition of one symmetric matrix (a batch of one)."""
     A = check_symmetric(A, tol=1e-8, name="A")
-    n = A.shape[0]
-    a = 0.5 * (A + A.T)
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)  # asymptotic form, avoids theta^2 overflow
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                # kill round-off asymmetry in the annihilated pair
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise JacobiConvergenceError(
-            f"off-diagonal norm {offdiag_norm(a):.3e} after {max_sweeps} sweeps"
-        )
-    return np.diag(a).copy(), v
+    w, v = jacobi_eigh_batch(A[None], tol=tol, max_sweeps=max_sweeps)
+    return w[0], v[0]
 
 
 def eigh_descending(A, tol=OFFDIAG_TOL):
@@ -83,90 +142,12 @@ def eigh_descending(A, tol=OFFDIAG_TOL):
     return w[order], v[:, order]
 
 
-def sym_sqrt(A, neg_tol=-1e-10):
-    """Symmetric PSD square root R with R @ R = A.
+def sym_sqrt_batch(mats, neg_tol=-1e-10):
+    """Symmetric PSD square roots R with R @ R = A over a (B, n, n) stack.
 
     Eigenvalues in [neg_tol, 0) are clamped to zero; anything below neg_tol
-    raises ValueError naming the offending eigenvalue.
+    raises ValueError naming the matrix index and the eigenvalue.
     """
-    w, v = jacobi_eigh(A)
-    if np.min(w) < neg_tol:
-        raise ValueError(
-            f"matrix is not positive semi-definite: eigenvalue {np.min(w):.6e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
-
-
-def jacobi_eigh_batch(mats, tol=OFFDIAG_TOL, max_sweeps=MAX_SWEEPS):
-    """Cyclic Jacobi over a stack of symmetric matrices at once.
-
-    Same pivot schedule and convergence rule as jacobi_eigh, with each
-    rotation applied to every still-unconverged matrix in the stack.
-    Pivots below tol/(2n) are skipped; the remaining off-diagonal mass then
-    stays under tol. Returns (eigenvalues (B, n), eigenvectors (B, n, n)).
-    """
-    a = np.array(mats, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
-    batch, n = a.shape[0], a.shape[1]
-    v = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-    if n == 1:
-        return a[:, :, 0].copy(), v
-    skip = tol / (2.0 * n)
-    diag_idx = np.arange(n)
-    for _ in range(max_sweeps):
-        off = a.copy()
-        off[:, diag_idx, diag_idx] = 0.0
-        norms = np.sqrt(np.sum(off * off, axis=(1, 2)))
-        active = norms >= tol
-        if not np.any(active):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                rotate = active & (np.abs(apq) > skip)
-                if not np.any(rotate):
-                    continue
-                theta = np.zeros(batch)
-                np.divide(
-                    a[:, q, q] - a[:, p, p], 2.0 * apq, out=theta, where=rotate
-                )
-                big = np.abs(theta) > 1e150
-                theta_safe = np.where(big, 1.0, theta)
-                t = np.sign(theta_safe) / (
-                    np.abs(theta_safe) + np.sqrt(theta_safe**2 + 1.0)
-                )
-                t = np.where(big, 0.5 / np.where(big, theta, 1.0), t)
-                t = np.where(rotate & (theta == 0.0), 1.0, t)
-                t = np.where(rotate, t, 0.0)  # identity rotation elsewhere
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cs = c[:, None]
-                ss = s[:, None]
-                col_p = a[:, :, p].copy()
-                col_q = a[:, :, q].copy()
-                a[:, :, p] = cs * col_p - ss * col_q
-                a[:, :, q] = ss * col_p + cs * col_q
-                row_p = a[:, p, :].copy()
-                row_q = a[:, q, :].copy()
-                a[:, p, :] = cs * row_p - ss * row_q
-                a[:, q, :] = ss * row_p + cs * row_q
-                a[rotate, p, q] = 0.0
-                a[rotate, q, p] = 0.0
-                vec_p = v[:, :, p].copy()
-                vec_q = v[:, :, q].copy()
-                v[:, :, p] = cs * vec_p - ss * vec_q
-                v[:, :, q] = ss * vec_p + cs * vec_q
-    else:
-        raise JacobiConvergenceError(
-            f"batch off-diagonal norm {np.max(norms):.3e} after {max_sweeps} sweeps"
-        )
-    return a[:, diag_idx, diag_idx].copy(), v
-
-
-def sym_sqrt_batch(mats, neg_tol=-1e-10):
-    """sym_sqrt over a stack; the error names the offending matrix index."""
     w, v = jacobi_eigh_batch(mats)
     worst = int(np.argmin(np.min(w, axis=1)))
     if np.min(w[worst]) < neg_tol:
@@ -175,4 +156,10 @@ def sym_sqrt_batch(mats, neg_tol=-1e-10):
             f"eigenvalue {np.min(w[worst]):.6e}"
         )
     w = np.clip(w, 0.0, None)
-    return np.einsum("bik,bk,bjk->bij", v, np.sqrt(w), v)
+    return (v * np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
+
+
+def sym_sqrt(A, neg_tol=-1e-10):
+    """Symmetric PSD square root of one matrix (a batch of one)."""
+    A = check_symmetric(A, tol=1e-8, name="A")
+    return sym_sqrt_batch(A[None], neg_tol=neg_tol)[0]

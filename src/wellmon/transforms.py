@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .linalg import sym_sqrt, sym_sqrt_batch
+from .linalg import sym_sqrt_batch
 from .validation import as_float_matrix, as_label_vector, check_symmetric
 
 CONSTANT_COLUMN_TOL = 1e-12
@@ -110,13 +110,21 @@ def std_features(segment):
     return np.std(samples, axis=0, ddof=1)
 
 
+def _covariances(stack):
+    """Sample covariances (divisor n-1) of a (B, n, m) stack of segments,
+    each mean-centered over its own samples."""
+    n_w = stack.shape[1]
+    if n_w < 2:
+        raise ValueError(f"segment needs >= 2 samples, got {n_w}")
+    centered = stack - stack.mean(axis=1, keepdims=True)
+    sigmas = np.einsum("bti,btj->bij", centered, centered) / (n_w - 1)
+    return 0.5 * (sigmas + sigmas.transpose(0, 2, 1))
+
+
 def cov_matrix(segment) -> CovMatrix:
     """Sample covariance (divisor n-1) of the mean-centered channels."""
     samples = _segment_samples(segment)
-    centered = samples - samples.mean(axis=0)
-    sigma = centered.T @ centered / (samples.shape[0] - 1)
-    sigma = 0.5 * (sigma + sigma.T)
-    return CovMatrix(sigma)
+    return CovMatrix(_covariances(samples[None])[0])
 
 
 def cov_sqrt(sigma):
@@ -128,7 +136,7 @@ def cov_sqrt(sigma):
     if isinstance(sigma, CovMatrix):
         sigma = sigma.sigma
     sigma = check_symmetric(sigma, tol=1e-10, name="sigma")
-    return sym_sqrt(sigma, neg_tol=-1e-10)
+    return sym_sqrt_batch(sigma[None], neg_tol=-1e-10)[0]
 
 
 def correlation(sigma):
@@ -159,24 +167,25 @@ def cov_feature_names(channel_names):
 
 def cov_features(segment):
     """Upper triangle (row-major, diagonal included) of the covariance root."""
-    root = cov_sqrt(cov_matrix(segment))
-    m = root.shape[0]
-    idx = upper_triangle_indices(m)
-    return np.array([root[i, j] for i, j in idx])
+    return _cov_feature_rows([segment])[0]
 
 
-def _cov_features_batch(segments):
-    """Vectorized cov transform over equally sized segments."""
-    stack = np.stack([np.asarray(s.samples, dtype=np.float64) for s in segments])
-    n_w = stack.shape[1]
-    if n_w < 2:
-        raise ValueError(f"segments need >= 2 samples, got {n_w}")
-    centered = stack - stack.mean(axis=1, keepdims=True)
-    sigmas = np.einsum("bti,btj->bij", centered, centered) / (n_w - 1)
-    sigmas = 0.5 * (sigmas + sigmas.transpose(0, 2, 1))
-    roots = sym_sqrt_batch(sigmas)
-    rows, cols = np.triu_indices(stack.shape[2])
-    return roots[:, rows, cols]
+def _cov_feature_rows(segments):
+    """cov_features of every segment, one sym_sqrt_batch call per distinct
+    segment shape."""
+    samples = [np.asarray(s.samples, dtype=np.float64) for s in segments]
+    m = samples[0].shape[-1]
+    groups = {}
+    for i, x in enumerate(samples):
+        if x.ndim != 2 or x.shape[1] != m:
+            raise ValueError(f"segment {i} has shape {x.shape}; expected (n, {m})")
+        groups.setdefault(x.shape, []).append(i)
+    rows, cols = np.triu_indices(m)
+    values = np.empty((len(samples), len(rows)))
+    for idx in groups.values():
+        roots = sym_sqrt_batch(_covariances(np.stack([samples[i] for i in idx])))
+        values[idx] = roots[:, rows, cols]
+    return values
 
 
 def transform_segments(segments, kind, channel_names=None):
@@ -190,15 +199,11 @@ def transform_segments(segments, kind, channel_names=None):
     channel_names = tuple(channel_names)
     if len(channel_names) != m:
         raise ValueError(f"{len(channel_names)} channel names for {m} channels")
-    uniform = len({np.asarray(s.samples).shape for s in segments}) == 1
     if kind == "std":
         values = np.array([std_features(s) for s in segments])
         names = channel_names
     elif kind == "cov":
-        if uniform:
-            values = _cov_features_batch(segments)
-        else:
-            values = np.array([cov_features(s) for s in segments])
+        values = _cov_feature_rows(segments)
         names = cov_feature_names(channel_names)
     else:
         raise ValueError(f"unknown transform kind {kind!r}; expected 'std' or 'cov'")

@@ -310,7 +310,7 @@ def test_criterion_7_end_to_end_trends():
             f"{accuracies[1][method]:.4f}"
         )
     # the trained CNN's test MSE lands below 5e-2 within its epoch budget.
-    # Over CNN seeds 0-4 it ran 0.013-0.025; the same network gives 0.117
+    # Over CNN seeds 0-4 it ran 0.016-0.023; the same network gives 0.137
     # after 10 epochs and 0.26 untrained.
     cnn_pipe = fitted[1]["cnn"]
     probs = cnn_pipe.estimator.predict_proba(

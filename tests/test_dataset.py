@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -332,3 +334,18 @@ def test_series_roundtrip(tmp_path):
     for (sa, la), (sb, lb) in zip(out, loaded):
         assert la == lb
         assert np.allclose(sa.samples, sb.samples, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("field, value", [("noise_level", 50), ("seed", 999)])
+def test_load_series_set_rejects_mixed_sidecars(tmp_path, field, value):
+    # a directory mixing two generated sets must not take the last sidecar's
+    # noise level and seed for all of them
+    save_series_set(generate(small_config(series_len=50)), tmp_path)
+    sidecar = tmp_path / "series_0002.json"
+    payload = json.loads(sidecar.read_text())
+    payload[field] = value
+    sidecar.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="series_0002.json has") as err:
+        load_series_set(tmp_path)
+    assert f"{field} {value}" in str(err.value)
+    assert "series_0000.json" in str(err.value)

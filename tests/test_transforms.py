@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wellmon import transforms
 from wellmon.transforms import (
     CovMatrix,
     FeatureMatrix,
@@ -230,6 +231,31 @@ def test_transform_segments_std_and_cov(rng):
         assert np.allclose(std_fm.values[i], std_features(seg))
     with pytest.raises(ValueError, match="kind"):
         transform_segments(segments, "fft")
+
+
+def test_cov_path_groups_segments_by_shape(rng, monkeypatch):
+    # one sym_sqrt_batch call per distinct segment shape, rows kept in order,
+    # and each row equal to the one-segment call
+    calls = []
+    batch = transforms.sym_sqrt_batch
+
+    def counting(mats, *args, **kwargs):
+        calls.append(len(mats))
+        return batch(mats, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "sym_sqrt_batch", counting)
+    long = random_segments(rng, 5, n_w=30, m=3)
+    short = random_segments(rng, 3, n_w=12, m=3)
+    segments = [long[0], short[0], long[1], long[2], short[1], long[3], short[2], long[4]]
+    values = transform_segments(segments, "cov").values
+    assert sorted(calls) == [3, 5]
+    for i, seg in enumerate(segments):
+        assert values[i].tobytes() == cov_features(seg).tobytes()
+    calls.clear()
+    cov_sqrt(np.eye(3))
+    assert calls == [1]
+    with pytest.raises(ValueError, match="segment 1 has shape"):
+        transform_segments([long[0], make_segment(np.ones((30, 2)))], "cov")
 
 
 # ---------------------------------------------------------------------------
