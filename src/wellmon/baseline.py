@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import as_float_vector
+from .validation import as_float_vector, write_csv
 
 SINGULAR_DET_TOL = 1e-15
 
@@ -129,15 +129,12 @@ def line_distribution(lines) -> LineCloudSummary:
 
 def write_lines_csv(lines, path, append=False):
     """Append-only CSV of (window_start, beta0, beta1)."""
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if not append:
-            writer.writerow(["window_start", "beta0", "beta1"])
-        for ln in lines:
-            writer.writerow(
-                [ln.window_start_index, f"{ln.intercept:.17g}", f"{ln.incline:.17g}"]
-            )
+    write_csv(
+        path,
+        ["window_start", "beta0", "beta1"],
+        ((ln.window_start_index, ln.intercept, ln.incline) for ln in lines),
+        append=append,
+    )
 
 
 def read_lines_csv(path):

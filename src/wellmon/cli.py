@@ -9,6 +9,7 @@ of the owning modules. Exit codes: 0 success, 2 config error, 3 data error,
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import dataset as dataset_mod
 from .baseline import MonitorConfig, monitor, read_lines_csv, write_lines_csv
 from .cnn import SearchSpace, TrainingDivergedError, random_search
 from .dtree import DecisionTree, PRE_PRUNING_GRIDS, grid_search, post_pruning_alpha
+from .evaluation import format_table, reports_to_csv, score_predictions
 from .logreg import LogisticRegression
 from .pca import PCA
 from .pipeline import (
@@ -24,14 +26,15 @@ from .pipeline import (
     ConfigError,
     DataError,
     PipelineConfig,
+    build_pipeline,
     emit_baseline_cloud,
     emit_cnn_embedding,
     emit_feature_scatter,
     emit_pca_ratios,
     prepare_segments,
-    project_features,
     run_compare,
-    run_pipeline,
+    run_split,
+    subset_channels,
 )
 from .svm import ConvergenceError, SvmClassifier
 from .transforms import FeatureMatrix, transform_segments
@@ -183,8 +186,6 @@ def cmd_transform(args):
     segments = dataset_mod.window(series_set, args.window_seconds)
     channel_names = series_set.channel_names
     if args.channels:
-        from .pipeline import subset_channels
-
         segments, channel_names = subset_channels(
             segments, channel_names, args.channels.split(",")
         )
@@ -332,45 +333,45 @@ def cmd_train(args):
     cfg = _pipeline_config(args, _method_params(args))
     series_set = _load_series_dir(args.data) if args.data else None
     out_dir = Path(args.out)
+    # tuning sees the split and preprocessing that the final fit reports on
+    train, test, channel_names = prepare_segments(cfg, series_set)
     if args.method == "dtree" and args.prune == "pre":
-        train, test, channel_names = prepare_segments(cfg, series_set)
-        train_fm, _, _, _ = project_features(cfg, train, test, channel_names)
+        features = build_pipeline(cfg, channel_names=channel_names).fit_project(train)
         grid = PRE_PRUNING_GRIDS[(_grid_key(args), args.criterion)]
         best, score = grid_search(
-            train_fm.values, train_fm.labels, args.criterion, grid,
+            features.values, features.labels, args.criterion, grid,
             args.k_folds, seed=args.seed,
         )
-        params = dict(cfg.method_params, **best)
-        cfg = PipelineConfig(**{**vars(cfg), "method_params": params})
+        cfg = replace(cfg, method_params={**cfg.method_params, **best})
         print(f"pre-pruning grid search: {best} (cv accuracy {score:.4f})")
     if args.method == "cnn" and args.trials > 0:
-        train, test, _ = prepare_segments(cfg, series_set)
-        X_train = CnnPipeline._to_array(train)
-        y_train = np.array([int(s.label) for s in train])
-        X_test = CnnPipeline._to_array(test)
-        y_test = np.array([int(s.label) for s in test])
-        mean = X_train.mean(axis=(0, 2))[None, :, None]
-        std = X_train.std(axis=(0, 2))[None, :, None]
-        std = np.where(std <= 1e-12, 1.0, std)
+        pipeline = build_pipeline(cfg)
+        X_train = pipeline.fit_project(train)
         out_dir.mkdir(parents=True, exist_ok=True)
         best, _ = random_search(
             SearchSpace(n_trials=args.trials),
-            (X_train - mean) / std, y_train, (X_test - mean) / std, y_test,
+            X_train, _labels(train), pipeline.project(test), _labels(test),
             seed=args.seed, epochs=args.epochs,
             log_path=out_dir / "trials.jsonl",
         )
-        params = dict(cfg.method_params)
-        params.update(best)
-        cfg = PipelineConfig(**{**vars(cfg), "method_params": params})
+        cfg = replace(cfg, method_params={**cfg.method_params, **best})
         print(f"random search best: {best}")
-    reports, _ = run_pipeline(cfg, out_dir, series_set)
+    reports, _ = run_split(cfg, out_dir, train, test, channel_names)
     print(f"{reports[0].method}: accuracy {reports[0].accuracy:.4f}")
     return EXIT_OK
 
 
-def cmd_evaluate(args):
-    from .evaluation import reports_to_csv, score_predictions
+def _labels(segments):
+    return np.array([int(s.label) for s in segments])
 
+
+def _load_cnn(model_dir, data_dir, window_seconds):
+    """The CNN pipeline saved in model_dir and the windows of data_dir."""
+    segments = dataset_mod.window(_load_series_dir(data_dir), window_seconds)
+    return CnnPipeline.load(model_dir, "cnn"), segments
+
+
+def cmd_evaluate(args):
     model_path = Path(args.model)
     if args.features:
         features = FeatureMatrix.from_csv(args.features)
@@ -388,11 +389,10 @@ def cmd_evaluate(args):
         report = score_predictions(kind, pred, features.labels,
                                    config=str(model_path))
     elif args.data:
-        series_set = _load_series_dir(args.data)
-        segments = dataset_mod.window(series_set, args.window_seconds)
-        pipeline = CnnPipeline.load(model_path.parent, "cnn")
+        pipeline, segments = _load_cnn(model_path.parent, args.data,
+                                       args.window_seconds)
         pred = pipeline.predict(segments)
-        truth = np.array([int(s.label) for s in segments])
+        truth = _labels(segments)
         report = score_predictions("cnn", pred, truth, config=str(model_path))
     else:
         raise ConfigError("evaluate needs --features or --data")
@@ -409,8 +409,6 @@ def cmd_compare(args):
     cfg = _pipeline_config(args, {})
     series_set = _load_series_dir(args.data) if args.data else None
     reports, _ = run_compare(cfg, args.out, series_set)
-    from .evaluation import format_table
-
     print(format_table(reports))
     return EXIT_OK
 
@@ -432,9 +430,8 @@ def cmd_emit_plots(args):
     if args.cnn_model_dir:
         if not args.data:
             raise ConfigError("--cnn-model-dir needs --data for the embedding")
-        series_set = _load_series_dir(args.data)
-        segments = dataset_mod.window(series_set, args.window_seconds)
-        pipeline = CnnPipeline.load(args.cnn_model_dir, "cnn")
+        pipeline, segments = _load_cnn(args.cnn_model_dir, args.data,
+                                       args.window_seconds)
         out.mkdir(parents=True, exist_ok=True)
         emit_cnn_embedding(pipeline, segments, out / "cnn_embedding.csv")
         wrote_any = True

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .validation import check_X_y, require_both_classes, stratified_kfold_indices
+from .validation import (
+    check_X_y, cv_accuracy, require_both_classes, stratified_kfold_indices,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +486,9 @@ def grid_search(X, y, criterion, grid, k_folds, seed=0):
     best = None
     for combo in product(*values):
         params = dict(zip(names, combo))
-        scores = []
-        for train_idx, test_idx in folds:
-            model = DecisionTree(criterion=criterion, **params)
-            model.fit(X[train_idx], y[train_idx])
-            pred = model.predict(X[test_idx])
-            scores.append(float(np.mean(pred == y[test_idx])))
-        score = float(np.mean(scores))
+        score = cv_accuracy(
+            lambda: DecisionTree(criterion=criterion, **params), X, y, folds
+        )
         key = (
             -score,
             params["max_depth"],

@@ -5,14 +5,13 @@ zero denominator return 0 and set a degenerate flag rather than raising, so
 sweeps over bad configurations do not abort.
 """
 
-import csv
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .validation import as_label_vector
+from .validation import as_label_vector, write_csv
 
 
 @dataclass(frozen=True)
@@ -151,38 +150,25 @@ REPORT_COLUMNS = (
 )
 
 
+def _report_cells(r, places):
+    """One report's REPORT_COLUMNS as text; the four metrics to `places`
+    decimals, the times to 3."""
+    return (
+        r.method,
+        *(f"{v:.{places}f}" for v in (r.precision, r.recall, r.f1, r.accuracy)),
+        f"{r.train_time_ms:.3f}",
+        f"{r.test_time_ms:.3f}",
+        r.config,
+    )
+
+
 def reports_to_csv(reports, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                r.method,
-                f"{r.precision:.6f}",
-                f"{r.recall:.6f}",
-                f"{r.f1:.6f}",
-                f"{r.accuracy:.6f}",
-                f"{r.train_time_ms:.3f}",
-                f"{r.test_time_ms:.3f}",
-                r.config,
-            ])
+    write_csv(path, REPORT_COLUMNS, (_report_cells(r, 6) for r in reports))
 
 
 def format_table(reports):
     """Aligned text table of the method comparison."""
-    rows = [REPORT_COLUMNS] + [
-        (
-            r.method,
-            f"{r.precision:.3f}",
-            f"{r.recall:.3f}",
-            f"{r.f1:.3f}",
-            f"{r.accuracy:.3f}",
-            f"{r.train_time_ms:.3f}",
-            f"{r.test_time_ms:.3f}",
-            r.config,
-        )
-        for r in reports
-    ]
+    rows = [REPORT_COLUMNS] + [_report_cells(r, 3) for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(REPORT_COLUMNS))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()

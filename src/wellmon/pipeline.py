@@ -8,7 +8,7 @@ the output directory, and every stage is deterministic given the seeds.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .logreg import LogisticRegression
 from .pca import PCA
 from .svm import SvmClassifier
 from .transforms import FeatureMatrix, Standardizer, transform_segments
+from .validation import write_csv
 
 
 class ConfigError(ValueError):
@@ -116,7 +117,9 @@ class ClassicalPipeline:
     def _features(self, segments):
         return transform_segments(segments, self.transform, self.channel_names)
 
-    def fit(self, train_segments):
+    def fit_project(self, train_segments) -> FeatureMatrix:
+        """Fit the scaler and PCA on the training windows; return the
+        estimator's input for those windows."""
         features = self._features(train_segments)
         self.scaler_ = Standardizer().fit(features)
         scaled = self.scaler_.transform(features)
@@ -125,7 +128,11 @@ class ClassicalPipeline:
             scaled = self.pca_.transform(scaled)
         else:
             self.pca_ = None
-        self.estimator.fit(scaled.values, scaled.labels)
+        return scaled
+
+    def fit(self, train_segments):
+        features = self.fit_project(train_segments)
+        self.estimator.fit(features.values, features.labels)
         return self
 
     def project(self, segments) -> FeatureMatrix:
@@ -159,23 +166,31 @@ class CnnPipeline:
         # segments hold (n_w, m); the network wants (N, m, n_w)
         return np.stack([np.asarray(s.samples).T for s in segments])
 
-    def fit(self, train_segments):
+    def fit_project(self, train_segments):
+        """Fit the channel mean and std on the training windows; return the
+        network's (N, m, n_w) input for those windows."""
         X = self._to_array(train_segments)
-        y = np.array([int(s.label) for s in train_segments], dtype=np.int64)
         self.channel_mean_ = X.mean(axis=(0, 2))
         std = X.std(axis=(0, 2))
         self.channel_std_ = np.where(std <= 1e-12, 1.0, std)
-        self.estimator.fit(self._normalize(X), y)
+        return self._normalize(X)
+
+    def fit(self, train_segments):
+        y = np.array([int(s.label) for s in train_segments], dtype=np.int64)
+        self.estimator.fit(self.fit_project(train_segments), y)
         return self
 
     def _normalize(self, X):
         return (X - self.channel_mean_[None, :, None]) / self.channel_std_[None, :, None]
 
+    def project(self, segments):
+        return self._normalize(self._to_array(segments))
+
     def predict(self, segments):
-        return self.estimator.predict(self._normalize(self._to_array(segments)))
+        return self.estimator.predict(self.project(segments))
 
     def embed(self, segments):
-        return self.estimator.embed(self._normalize(self._to_array(segments)))
+        return self.estimator.embed(self.project(segments))
 
     def describe(self):
         e = self.estimator
@@ -265,25 +280,6 @@ def subset_channels(segments, channel_names, keep):
     return out, keep
 
 
-def project_features(cfg: PipelineConfig, train_segments, test_segments,
-                     channel_names=None):
-    """transform + standardize + optional PCA, fit on train only.
-
-    Returns (train_features, test_features, scaler, pca-or-None).
-    """
-    train_fm = transform_segments(train_segments, cfg.transform, channel_names)
-    test_fm = transform_segments(test_segments, cfg.transform, channel_names)
-    scaler = Standardizer().fit(train_fm)
-    train_fm = scaler.transform(train_fm)
-    test_fm = scaler.transform(test_fm)
-    pca = None
-    if cfg.pcs is not None:
-        pca = PCA(cfg.pcs).fit(train_fm)
-        train_fm = pca.transform(train_fm)
-        test_fm = pca.transform(test_fm)
-    return train_fm, test_fm, scaler, pca
-
-
 def prepare_segments(cfg: PipelineConfig, series_set=None):
     """Generate (or accept) series, window them, and split train/test."""
     if series_set is None:
@@ -308,9 +304,14 @@ def prepare_segments(cfg: PipelineConfig, series_set=None):
 def run_pipeline(cfg: PipelineConfig, out_dir, series_set=None):
     """Run one method end to end; persist features, model, and report."""
     cfg.validate()
+    train, test, channel_names = prepare_segments(cfg, series_set)
+    return run_split(cfg, out_dir, train, test, channel_names)
+
+
+def run_split(cfg: PipelineConfig, out_dir, train, test, channel_names):
+    """run_pipeline on a split that prepare_segments(cfg) already made."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, test, channel_names = prepare_segments(cfg, series_set)
     pipeline = build_pipeline(cfg, channel_names=channel_names)
     reports = compare([pipeline], train, test)
     stem = cfg.method
@@ -346,8 +347,6 @@ def run_compare(cfg: PipelineConfig, out_dir, series_set=None):
 
 
 def _stamp(report, cfg):
-    from dataclasses import replace
-
     return replace(report, config=f"{report.config} cfg={cfg.hash()}")
 
 
@@ -365,7 +364,7 @@ def emit_feature_scatter(features: FeatureMatrix, out_dir):
     written = []
     for i, j in combinations(range(d), 2):
         path = out_dir / f"pair_{i:02d}_{j:02d}.csv"
-        _write_csv(
+        write_csv(
             path,
             [features.feature_names[i], features.feature_names[j], "label"],
             zip(features.values[:, i], features.values[:, j], features.labels),
@@ -373,7 +372,7 @@ def emit_feature_scatter(features: FeatureMatrix, out_dir):
         written.append(path)
     for i in range(d):
         path = out_dir / f"marginal_{i:02d}.csv"
-        _write_csv(
+        write_csv(
             path,
             [features.feature_names[i], "label"],
             zip(features.values[:, i], features.labels),
@@ -390,7 +389,7 @@ def emit_pca_ratios(pca: PCA, path):
     for i, ratio in enumerate(ratios, start=1):
         cumulative += ratio
         rows.append((i, ratio, cumulative))
-    _write_csv(Path(path), ["component", "ratio", "cumulative"], rows)
+    write_csv(Path(path), ["component", "ratio", "cumulative"], rows)
     return path
 
 
@@ -408,21 +407,9 @@ def emit_cnn_embedding(pipeline: CnnPipeline, segments, path):
         raise DataError("no segments to embed")
     embedding = pipeline.embed(segments)
     labels = [int(s.label) for s in segments]
-    _write_csv(
+    write_csv(
         Path(path),
         ["x1", "x2", "label"],
         zip(embedding[:, 0], embedding[:, 1], labels),
     )
     return path
-
-
-def _write_csv(path, header, rows):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
-            )

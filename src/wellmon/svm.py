@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .validation import check_X_y, require_both_classes, stratified_kfold_indices
+from .validation import (
+    check_X_y, cv_accuracy, require_both_classes, stratified_kfold_indices,
+)
 
 ALPHA_SNAP = 1e-8
 
@@ -367,15 +369,10 @@ def tune_C(X, y, kernel, c_grid, k_folds, gamma="scale", tol=1e-3, seed=0):
     folds = stratified_kfold_indices(y, k_folds, seed)
     best = None
     for C in c_grid:
-        scores = []
-        for train_idx, test_idx in folds:
-            model = SvmClassifier(
-                kernel=kernel, C=C, gamma=gamma, tol=tol, seed=seed
-            )
-            model.fit(X[train_idx], y[train_idx])
-            pred = model.predict(X[test_idx])
-            scores.append(float(np.mean(pred == y[test_idx])))
-        score = float(np.mean(scores))
+        score = cv_accuracy(
+            lambda: SvmClassifier(kernel=kernel, C=C, gamma=gamma, tol=tol, seed=seed),
+            X, y, folds,
+        )
         if best is None or score > best[1]:
             best = (C, score)
     return best

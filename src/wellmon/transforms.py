@@ -17,7 +17,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .linalg import sym_sqrt_batch
-from .validation import as_float_matrix, as_label_vector, check_symmetric
+from .validation import as_float_matrix, as_label_vector, check_symmetric, write_csv
 
 CONSTANT_COLUMN_TOL = 1e-12
 
@@ -62,11 +62,11 @@ class FeatureMatrix:
 
     def to_csv(self, path):
         """Header = feature names plus trailing `label` column."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.feature_names) + ["label"])
-            for row, label in zip(self.values, self.labels):
-                writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
+        write_csv(
+            path,
+            list(self.feature_names) + ["label"],
+            ([*row, int(label)] for row, label in zip(self.values, self.labels)),
+        )
 
     @classmethod
     def from_csv(cls, path):

@@ -1,4 +1,7 @@
-"""Input validation helpers used across the toolkit."""
+"""Input validation helpers used across the toolkit, the k-fold scoring
+loop and the one CSV writer every module's output goes through."""
+
+import csv
 
 import numpy as np
 
@@ -85,3 +88,31 @@ def stratified_kfold_indices(y, k, seed=0):
         )
         splits.append((train_idx, test_idx))
     return splits
+
+
+def cv_accuracy(make_model, X, y, folds):
+    """Mean over folds of the held-out accuracy of make_model() fit on the
+    rest; folds as returned by stratified_kfold_indices."""
+    scores = []
+    for train_idx, test_idx in folds:
+        model = make_model()
+        model.fit(X[train_idx], y[train_idx])
+        pred = model.predict(X[test_idx])
+        scores.append(float(np.mean(pred == y[test_idx])))
+    return float(np.mean(scores))
+
+
+def write_csv(path, header, rows, append=False):
+    """Write rows as CSV; append skips the header of an existing file.
+
+    This is the toolkit's on-disk number format: floats are written as
+    %.17g, which reads back bit for bit; strings and ints pass unchanged.
+    """
+    with open(path, "a" if append else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if not append:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
+            )

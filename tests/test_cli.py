@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from wellmon import dataset
 from wellmon.cli import main
+from wellmon.dtree import PRE_PRUNING_GRIDS, grid_search
+from wellmon.pipeline import PipelineConfig, build_pipeline, prepare_segments
 
 COMMON = ["--n-per-class", "2", "--len", "1501", "--seed", "0"]
 
@@ -100,6 +103,14 @@ def test_train_dtree_pre_prune(data_dir, tmp_path):
                 "--out", out])
     assert code == 0
     assert (out / "dtree_model.json").exists()
+    # the recorded parameters are the grid search's pick on the projected
+    # train features of the split the final model reports on
+    cfg = PipelineConfig.from_json((out / "config.json").read_text())
+    train, _, channel_names = prepare_segments(cfg, dataset.load_series_set(data_dir))
+    features = build_pipeline(cfg, channel_names=channel_names).fit_project(train)
+    best, _ = grid_search(features.values, features.labels, "gini",
+                          PRE_PRUNING_GRIDS[("std", "gini")], 2, seed=0)
+    assert cfg.method_params == {"criterion": "gini", **best}
 
 
 def test_train_svm(data_dir, tmp_path):
@@ -133,6 +144,25 @@ def test_train_cnn_with_random_search(data_dir, tmp_path):
     record = json.loads(trials[0])
     assert record["batch_size"] in (10, 30, 50, 100)
     assert 1e-4 <= record["learning_rate"] <= 1e-1
+    best = min(map(json.loads, trials), key=lambda r: r["test_mse"])
+    params = json.loads((out / "config.json").read_text())["method_params"]
+    keys = ("activation", "learning_rate", "weight_decay", "batch_size", "seed")
+    assert params == dict({key: best[key] for key in keys}, epochs=1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtree", "--prune", "pre", "--k-folds", "2"],
+    ["cnn", "--trials", "1", "--epochs", "1"],
+])
+def test_train_with_tuning_prepares_data_once(argv, tmp_path, monkeypatch):
+    calls = {"generate": 0, "window": 0, "split": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(dataset, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dataset, name, counted)
+    assert run(["train", *argv, *COMMON, "--out", tmp_path / "out"]) == 0
+    assert calls == {"generate": 1, "window": 1, "split": 1}
 
 
 def test_evaluate_classical(data_dir, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wellmon
-from wellmon import dataset, pca, transforms
+from wellmon import dataset, pca, pipeline, transforms
 from wellmon.linalg import (
     JacobiConvergenceError,
     eigh_descending,
@@ -19,7 +19,7 @@ from wellmon.linalg import (
     sym_sqrt_batch,
 )
 
-from conftest import random_psd
+from conftest import random_psd, random_segments
 
 
 def test_identity_and_zero():
@@ -166,11 +166,40 @@ def test_batch_rejects_asymmetric_and_non_finite():
 
 def test_benchmark_bound_names_exist():
     # perfbench/layers.py wraps these module attributes by name when it
-    # traces a run; a rename would silently drop them from the trace
+    # traces a run, and perfbench/workloads.py calls the pipeline ones; a
+    # rename would silently drop them from the trace or stop the benchmark
     for module, name in (
         (dataset, "sym_sqrt"),
         (dataset, "jacobi_eigh"),
         (transforms, "sym_sqrt_batch"),
         (pca, "eigh_descending"),
+        (pipeline, "transform_segments"),
+        (pipeline, "reports_to_csv"),
+        (pipeline, "compare"),
+        (pipeline, "run_compare"),
+        (pipeline, "build_pipeline"),
+        (pipeline.CnnPipeline, "_to_array"),
+        (pipeline.CnnPipeline, "_normalize"),
+        (pipeline.ClassicalPipeline, "project"),
     ):
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    assert pipeline.METHODS == ("logreg", "dtree", "svm", "cnn")
+    cfg = pipeline.PipelineConfig(transform="std", pcs=2)
+    classical = pipeline.build_pipeline(cfg)
+    assert (classical.transform, classical.pcs) == ("std", 2)
+    assert classical.estimator is not None
+
+
+def test_classical_pipeline_transforms_through_module_global(rng, monkeypatch):
+    # the trace's transforms.* spans come from rebinding this global
+    kinds = []
+
+    def counted(segments, kind, *args, **kwargs):
+        kinds.append(kind)
+        return transforms.transform_segments(segments, kind, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "transform_segments", counted)
+    segments = random_segments(rng, 20, separated=True)
+    fitted = pipeline.build_pipeline(pipeline.PipelineConfig(transform="std"))
+    fitted.fit(segments).predict(segments)
+    assert kinds == ["std", "std"]
