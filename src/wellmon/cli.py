@@ -38,6 +38,7 @@ from .pipeline import (
 )
 from .svm import ConvergenceError, SvmClassifier
 from .transforms import FeatureMatrix, transform_segments
+from .validation import stratified_kfold_indices
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,7 +115,8 @@ def build_parser():
     p.add_argument("--prune", choices=("none", "pre", "post"), default="none")
     p.add_argument("--ccp-alpha", type=float, default=None)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--k-folds", type=int, default=5)
+    p.add_argument("--k-folds", type=int, default=5,
+                   help="CV folds of --prune pre; --trials validates on one")
     # svm
     p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
     p.add_argument("--C", type=float, default=1.0)
@@ -345,12 +347,19 @@ def cmd_train(args):
         cfg = replace(cfg, method_params={**cfg.method_params, **best})
         print(f"pre-pruning grid search: {best} (cv accuracy {score:.4f})")
     if args.method == "cnn" and args.trials > 0:
+        # trials are scored on a stratified validation fold of train; the
+        # test windows stay unseen until the final report
+        fit_idx, val_idx = stratified_kfold_indices(
+            _labels(train), args.k_folds, args.seed
+        )[0]
+        fit_part = [train[k] for k in fit_idx]
+        val_part = [train[k] for k in val_idx]
         pipeline = build_pipeline(cfg)
-        X_train = pipeline.fit_project(train)
+        X_fit = pipeline.fit_project(fit_part)
         out_dir.mkdir(parents=True, exist_ok=True)
         best, _ = random_search(
             SearchSpace(n_trials=args.trials),
-            X_train, _labels(train), pipeline.project(test), _labels(test),
+            X_fit, _labels(fit_part), pipeline.project(val_part), _labels(val_part),
             seed=args.seed, epochs=args.epochs,
             log_path=out_dir / "trials.jsonl",
         )
@@ -365,10 +374,11 @@ def _labels(segments):
     return np.array([int(s.label) for s in segments])
 
 
-def _load_cnn(model_dir, data_dir, window_seconds):
-    """The CNN pipeline saved in model_dir and the windows of data_dir."""
+def _load_cnn(model_dir, data_dir, window_seconds, stem="cnn"):
+    """The CNN pipeline saved in model_dir under stem and the windows of
+    data_dir."""
     segments = dataset_mod.window(_load_series_dir(data_dir), window_seconds)
-    return CnnPipeline.load(model_dir, "cnn"), segments
+    return CnnPipeline.load(model_dir, stem), segments
 
 
 def cmd_evaluate(args):
@@ -389,8 +399,12 @@ def cmd_evaluate(args):
         report = score_predictions(kind, pred, features.labels,
                                    config=str(model_path))
     elif args.data:
+        # train writes a CNN as <stem>_model.json/.bin beside <stem>_channels.json
+        stem = model_path.name.removesuffix("_model")
+        if stem == model_path.name:
+            raise DataError(f"a CNN model path ends in _model: {model_path}")
         pipeline, segments = _load_cnn(model_path.parent, args.data,
-                                       args.window_seconds)
+                                       args.window_seconds, stem)
         pred = pipeline.predict(segments)
         truth = _labels(segments)
         report = score_predictions("cnn", pred, truth, config=str(model_path))

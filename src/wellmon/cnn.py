@@ -501,7 +501,11 @@ def sample_trial(space, rng):
 
 def random_search(space, X_train, y_train, X_test, y_test, seed=0,
                   epochs=100, log_path=None, **fixed):
-    """Seeded independent trials; best = lowest test MSE.
+    """Seeded independent trials; best = lowest MSE on (X_test, y_test).
+
+    Pass held-out windows that are not the reported test split (the CLI
+    passes a validation fold of the training windows), or the selection
+    leaks into the reported score.
 
     Returns (best_params, trials) where trials is the full log. Each trial
     trains with an independently derived seed, so trials could run in

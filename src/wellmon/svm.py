@@ -1,10 +1,12 @@
 """Soft-margin SVM trained by sequential minimal optimization of the dual.
 
 The dual quadratic program (minimize 0.5 a'Ha - a'1 subject to a'y = 0 and
-0 <= a <= C) is solved by SMO with Platt's working-pair heuristics: each KKT
-violator is paired with the index maximizing |E_i - E_j|, alternating full
-passes with passes over the non-bound subset. The box constraint implements
-l1-penalization of margin violations (hinge loss).
+0 <= a <= C) is solved by SMO with LIBSVM's second-order working-set
+selection (Fan, Chen & Lin 2005, JMLR 6): i is the most violating index of
+the up set, j the index of the low set whose pair step lowers the dual
+most, and the pair moves to the clipped minimizer along its direction. The
+solver is deterministic. The box constraint implements l1-penalization of
+margin violations (hinge loss).
 """
 
 import json
@@ -18,6 +20,7 @@ from .validation import (
 )
 
 ALPHA_SNAP = 1e-8
+TAU = 1e-12  # curvature floor for a flat pair direction (LIBSVM's TAU)
 
 
 class ConvergenceError(RuntimeError):
@@ -101,9 +104,15 @@ class SvmClassifier(BaseEstimator):
     tol : float
         KKT violation tolerance for convergence.
     max_passes : int
-        Pass budget for the SMO loop.
+        Work budget. One pass is ceil(n/2) pair updates, which touches every
+        training index about once; a fit still unconverged after
+        max_passes passes raises ConvergenceError.
     seed : int
-        Seed for the randomized fallback scans in pair selection.
+        Ignored: the solver draws no random numbers. Accepted so saved
+        configs and callers that pass a seed keep working.
+
+    After fit, n_iter_ holds the pair updates made and kkt_violation_ the
+    largest KKT violation of the stored model; neither is saved.
     """
 
     def __init__(self, kernel="rbf", C=1.0, gamma="scale", tol=1e-3,
@@ -127,7 +136,7 @@ class SvmClassifier(BaseEstimator):
         if self.kernel == "rbf" and gamma == "scale":
             gamma = rbf_gamma_scale(X)
         K = kernel_matrix(self.kernel, X, X, gamma)
-        alpha, bias = self._smo(K, y_pm)
+        alpha, bias, n_iter = self._smo(K, y_pm)
         alpha[alpha < ALPHA_SNAP] = 0.0
         alpha[alpha > self.C - ALPHA_SNAP] = self.C
         f = K @ (alpha * y_pm)
@@ -146,126 +155,68 @@ class SvmClassifier(BaseEstimator):
         self.n_support_ = len(sv)
         self.gamma_ = gamma
         self.n_samples_ = len(y)
+        # solver diagnostics; save() leaves them out of the model file
+        self.n_iter_ = n_iter
+        self.kkt_violation_ = worst
         if self.kernel == "linear":
             self.w_ = (self.alphas_ * self.support_labels_) @ self.support_vectors_
         return self
 
     def _smo(self, K, y_pm):
+        """LIBSVM's second-order working-set selection (Fan, Chen & Lin 2005).
+
+        Minimizes 0.5 a'Qa - a'1 with Q_ij = y_i y_j K_ij, keeping the
+        gradient G = Qa - 1. Returns (alpha, bias, pair updates)."""
         n = len(y_pm)
         C = self.C
         # the final bias is re-averaged over margin SVs, which can shift the
         # margins by up to the working tolerance; solving to 0.4 * tol keeps
-        # the stored model inside the advertised KKT tolerance
+        # the stored model inside the advertised KKT tolerance. A gap
+        # m - M < 2 * tol puts every point within tol of its margin when the
+        # bias sits at the gap's midpoint.
         tol = 0.4 * self.tol
-        rng = np.random.default_rng(self.seed)
+        budget = self.max_passes * -(-n // 2)
+        pos = y_pm > 0
+        k_diag = np.diag(K).copy()
         alpha = np.zeros(n)
-        bias = 0.0
-        f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
-
-        def take_step(i1, i2):
-            nonlocal bias, f
-            if i1 == i2:
-                return False
-            a1o, a2o = alpha[i1], alpha[i2]
-            y1, y2 = y_pm[i1], y_pm[i2]
-            e1 = f[i1] + bias - y1
-            e2 = f[i2] + bias - y2
-            s = y1 * y2
-            if y1 != y2:
-                low, high = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
-            else:
-                low, high = max(0.0, a1o + a2o - C), min(C, a1o + a2o)
-            if high - low < 1e-12:
-                return False
-            k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
-            eta = k11 + k22 - 2.0 * k12
-            if eta > 1e-12:
-                a2 = a2o + y2 * (e1 - e2) / eta
-                a2 = min(max(a2, low), high)
-            else:
-                # flat direction: evaluate the dual at both box ends
-                v1 = f[i1] - a1o * y1 * k11 - a2o * y2 * k12
-                v2 = f[i2] - a1o * y1 * k12 - a2o * y2 * k22
-                gamma_sum = a1o + s * a2o
-
-                def objective(a2c):
-                    a1c = gamma_sum - s * a2c
-                    return (
-                        0.5 * k11 * a1c * a1c
-                        + 0.5 * k22 * a2c * a2c
-                        + s * k12 * a1c * a2c
-                        + y1 * a1c * v1
-                        + y2 * a2c * v2
-                        - a1c
-                        - a2c
-                    )
-
-                lo_obj, hi_obj = objective(low), objective(high)
-                if lo_obj < hi_obj - 1e-12:
-                    a2 = low
-                elif hi_obj < lo_obj - 1e-12:
-                    a2 = high
-                else:
-                    return False
-            if abs(a2 - a2o) < 1e-12 * (a2 + a2o + 1e-12):
-                return False
-            a1 = a1o + s * (a2o - a2)
-            d1, d2 = a1 - a1o, a2 - a2o
-            b1 = bias - e1 - y1 * d1 * k11 - y2 * d2 * k12
-            b2 = bias - e2 - y1 * d1 * k12 - y2 * d2 * k22
-            if ALPHA_SNAP < a1 < C - ALPHA_SNAP:
-                bias = b1
-            elif ALPHA_SNAP < a2 < C - ALPHA_SNAP:
-                bias = b2
-            else:
-                bias = 0.5 * (b1 + b2)
-            f += d1 * y1 * K[:, i1] + d2 * y2 * K[:, i2]
-            alpha[i1], alpha[i2] = a1, a2
-            return True
-
-        def examine(i2):
-            e2 = f[i2] + bias - y_pm[i2]
-            r2 = e2 * y_pm[i2]
-            if not ((r2 < -tol and alpha[i2] < C) or (r2 > tol and alpha[i2] > 0)):
-                return 0
-            non_bound = np.flatnonzero((alpha > 0) & (alpha < C))
-            if len(non_bound) > 1:
-                errors = f[non_bound] + bias - y_pm[non_bound]
-                i1 = int(non_bound[np.argmax(np.abs(errors - e2))])
-                if take_step(i1, i2):
-                    return 1
-            start = rng.integers(n)
-            for i1 in np.roll(non_bound, -int(start % max(len(non_bound), 1))):
-                if take_step(int(i1), i2):
-                    return 1
-            start = rng.integers(n)
-            for i1 in np.roll(np.arange(n), -int(start)):
-                if take_step(int(i1), i2):
-                    return 1
-            return 0
-
-        examine_all = True
-        num_changed = 0
-        passes = 0
-        while num_changed > 0 or examine_all:
-            passes += 1
-            if passes > self.max_passes:
-                d = f + bias
-                worst = float(np.max(kkt_violations(alpha, y_pm, d, C)))
+        G = -np.ones(n)
+        n_iter = 0
+        while True:
+            # -y G is the bias that puts each point on its margin; alpha may
+            # move so that a point of the up set raises it, one of the low
+            # set lowers it
+            score = -y_pm * G
+            up = np.where(pos, alpha < C, alpha > 0.0)
+            low = np.where(pos, alpha > 0.0, alpha < C)
+            i = int(np.argmax(np.where(up, score, -np.inf)))
+            m = score[i]
+            M = float(np.min(score[low]))
+            if m - M < 2.0 * tol:
+                break
+            if n_iter == budget:
+                worst = float(np.max(kkt_violations(
+                    alpha, y_pm, y_pm * (G + 1.0) + 0.5 * (m + M), C
+                )))
                 raise ConvergenceError(
-                    f"no convergence in {self.max_passes} passes; "
-                    f"largest KKT violation {worst:.3e}"
+                    f"no convergence in {self.max_passes} passes "
+                    f"({n_iter} pair updates); largest KKT violation {worst:.3e}"
                 )
-            if examine_all:
-                targets = range(n)
-            else:
-                targets = np.flatnonzero((alpha > 0) & (alpha < C))
-            num_changed = sum(examine(int(i2)) for i2 in targets)
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-        return alpha, bias
+            # j minimizes -b^2 / a, the decrease of the dual along the pair's
+            # direction: gain b = m - score_t > 0, curvature a
+            b = m - score
+            a = k_diag[i] + k_diag - 2.0 * K[i]
+            a = np.where(a > 0.0, a, TAU)
+            j = int(np.argmin(np.where(low & (b > 0.0), -(b * b) / a, np.inf)))
+            # alpha_i += y_i t and alpha_j -= y_j t keep y'alpha fixed; t is
+            # the unconstrained minimizer b / a clipped to the box
+            ti = C - alpha[i] if pos[i] else alpha[i]
+            tj = alpha[j] if pos[j] else C - alpha[j]
+            t = min(b[j] / a[j], ti, tj)
+            alpha[i] = (C if pos[i] else 0.0) if t == ti else alpha[i] + y_pm[i] * t
+            alpha[j] = (0.0 if pos[j] else C) if t == tj else alpha[j] - y_pm[j] * t
+            G += t * y_pm * (K[i] - K[j])  # rows, as K is symmetric
+            n_iter += 1
+        return alpha, 0.5 * (m + M), n_iter
 
     def _final_bias(self, alpha, y_pm, f, fallback):
         """Average y - f over margin SVs; otherwise the KKT-interval midpoint."""

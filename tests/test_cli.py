@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from wellmon import dataset
+from wellmon import cli, dataset
 from wellmon.cli import main
+from wellmon.cnn import random_search
 from wellmon.dtree import PRE_PRUNING_GRIDS, grid_search
 from wellmon.pipeline import PipelineConfig, build_pipeline, prepare_segments
+from wellmon.validation import stratified_kfold_indices
 
 COMMON = ["--n-per-class", "2", "--len", "1501", "--seed", "0"]
 
@@ -134,11 +136,30 @@ def test_train_and_evaluate_cnn(data_dir, tmp_path):
     assert code == 0
 
 
-def test_train_cnn_with_random_search(data_dir, tmp_path):
+def test_train_cnn_with_random_search(data_dir, tmp_path, monkeypatch):
+    searched = {}
+
+    def spy(space, X_fit, y_fit, X_val, y_val, **kwargs):
+        searched.update(X_val=X_val, y_val=y_val)
+        return random_search(space, X_fit, y_fit, X_val, y_val, **kwargs)
+
+    monkeypatch.setattr(cli, "random_search", spy)
     out = tmp_path / "cnn_search"
     code = run(["train", "cnn", "--data", data_dir, "--trials", "2",
                 "--epochs", "1", "--out", out])
     assert code == 0
+    # trials are scored on the first stratified fold of the train windows,
+    # normalized with statistics of the other folds; the test windows are
+    # never seen
+    cfg = PipelineConfig.from_json((out / "config.json").read_text())
+    train, _, _ = prepare_segments(cfg, dataset.load_series_set(data_dir))
+    labels = np.array([int(s.label) for s in train])
+    fit_idx, val_idx = stratified_kfold_indices(labels, 5, 0)[0]
+    pipeline = build_pipeline(cfg)
+    pipeline.fit_project([train[k] for k in fit_idx])
+    expected = pipeline.project([train[k] for k in val_idx])
+    assert np.array_equal(searched["X_val"], expected)
+    assert np.array_equal(searched["y_val"], labels[val_idx])
     trials = (out / "trials.jsonl").read_text().splitlines()
     assert len(trials) == 2
     record = json.loads(trials[0])
@@ -163,6 +184,29 @@ def test_train_with_tuning_prepares_data_once(argv, tmp_path, monkeypatch):
         monkeypatch.setattr(dataset, name, counted)
     assert run(["train", *argv, *COMMON, "--out", tmp_path / "out"]) == 0
     assert calls == {"generate": 1, "window": 1, "split": 1}
+
+
+def test_evaluate_cnn_loads_the_named_model(data_dir, tmp_path, capsys):
+    out = tmp_path / "cnn_eval"
+    assert run(["train", "cnn", "--data", data_dir, "--epochs", "1",
+                "--out", out]) == 0
+    capsys.readouterr()
+    # a model name that does not exist fails loudly, even beside a saved CNN
+    missing = out / "no_such_model"
+    assert run(["evaluate", "--model", missing, "--data", data_dir]) == 3
+    assert str(missing) in capsys.readouterr().err
+    for model in (out / "cnn", out / "cnn_model.json"):
+        assert run(["evaluate", "--model", model, "--data", data_dir]) == 3
+    # the stem comes from --model: the same CNN saved under another stem
+    # scores the same, and the old name then fails
+    capsys.readouterr()
+    assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir]) == 0
+    scored = capsys.readouterr().out
+    for name in ("model.json", "model.bin", "channels.json"):
+        (out / f"cnn_{name}").rename(out / f"moved_{name}")
+    assert run(["evaluate", "--model", out / "moved_model", "--data", data_dir]) == 0
+    assert capsys.readouterr().out == scored
+    assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir]) == 3
 
 
 def test_evaluate_classical(data_dir, tmp_path):

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from wellmon.pipeline import PipelineConfig, build_pipeline, prepare_segments
 from wellmon.svm import (
     ConvergenceError,
     SvmClassifier,
@@ -236,6 +239,71 @@ def test_convergence_error_reports_violation():
     y = (X[:, 0] > 0).astype(int)
     with pytest.raises(ConvergenceError, match="KKT"):
         SvmClassifier(kernel="rbf", C=1.0, max_passes=1).fit(X, y)
+
+
+def _budget(model, n):
+    """Pair updates max_passes allows: ceil(n / 2) a pass."""
+    return model.max_passes * -(-n // 2)
+
+
+def test_budget_counts_pair_updates():
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 2))
+    y = (X[:, 0] > 0).astype(int)
+    n_iter = SvmClassifier(kernel="rbf", C=1.0).fit(X, y).n_iter_
+    passes = -(-n_iter // 15)
+    model = SvmClassifier(kernel="rbf", C=1.0, max_passes=passes).fit(X, y)
+    assert model.n_iter_ == n_iter <= _budget(model, 30)
+    with pytest.raises(ConvergenceError, match=f"{passes - 1} passes"):
+        SvmClassifier(kernel="rbf", C=1.0, max_passes=passes - 1).fit(X, y)
+
+
+def test_fit_ignores_seed():
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((120, 2))
+    y = (X[:, 0] + 0.8 * rng.standard_normal(120) > 0).astype(int)
+    a = SvmClassifier(kernel="rbf", C=1.0, seed=0).fit(X, y)
+    b = SvmClassifier(kernel="rbf", C=1.0, seed=7).fit(X, y)
+    assert a.alphas_.tobytes() == b.alphas_.tobytes()
+    assert a.support_idx_.tobytes() == b.support_idx_.tobytes()
+    assert a.bias_ == b.bias_
+
+
+def test_solver_diagnostics_are_not_saved(tmp_path, rng):
+    X = np.concatenate([rng.standard_normal((30, 2)), rng.standard_normal((30, 2)) + 1.5])
+    y = np.array([0] * 30 + [1] * 30)
+    model = SvmClassifier(kernel="rbf", C=1.0).fit(X, y)
+    assert 0 < model.n_iter_ <= _budget(model, 60)
+    assert model.kkt_violation_ < model.tol
+    assert model.kkt_violation_ == pytest.approx(
+        float(np.max(model.training_kkt_violations(X, y))), abs=1e-12
+    )
+    model.save(tmp_path / "svm.json")
+    payload = json.loads((tmp_path / "svm.json").read_text())
+    assert set(payload) == {
+        "kind", "kernel", "C", "gamma", "bias", "alphas", "support_vectors",
+        "support_labels",
+    }
+
+
+# COV+PCA(4) surrogate fits on which pairing each violator by max |E1 - E2|
+# (Platt 1998) used up its 5000 passes and raised ConvergenceError; the
+# second is criterion-7 size (1920 training windows)
+@pytest.mark.parametrize("kernel, C, noise, seed, n_per_class, series_len", [
+    ("linear", 10.0, 50, 0, 5, 6001),
+    ("rbf", 100.0, 50, 1, 20, 18001),
+])
+def test_converges_on_hard_surrogate_fits(kernel, C, noise, seed, n_per_class,
+                                          series_len):
+    cfg = PipelineConfig(transform="cov", pcs=4, noise=noise, seed=seed,
+                         n_series_per_class=n_per_class, series_len=series_len)
+    train, _, names = prepare_segments(cfg)
+    features = build_pipeline(cfg, channel_names=names).fit_project(train)
+    X, y = features.values, features.labels
+    model = SvmClassifier(kernel=kernel, C=C).fit(X, y)
+    assert model.n_iter_ <= _budget(model, len(y))
+    assert model.kkt_violation_ < model.tol
+    assert float(np.max(model.training_kkt_violations(X, y))) < model.tol
 
 
 # ---------------------------------------------------------------------------
