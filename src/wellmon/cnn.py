@@ -4,8 +4,17 @@ Architecture (for C x L input, canonical 6 x 300): conv(12, k=30) -> act ->
 avgpool(15, stride 5) -> conv(24, k=30) -> act -> avgpool -> flatten(48) ->
 fc(48, 2) -> act -> fc(2, 1) -> sigmoid. The 2-unit activation before the
 output layer is exposed as the embedding. Convolutions are valid, stride 1,
-implemented as cross-correlation. Everything runs in double precision so
-the finite-difference gradient check is meaningful.
+implemented as cross-correlation (im2col); the input gradient scatters the
+patch gradients back with col2im.
+
+Every pass runs in the dtype of its input. `fit`, the Adam state and
+`forward`/`predict`/`predict_proba`/`embed` run in float32 (Micikevicius et
+al. 2018), which halves the memory traffic of the im2col copies and
+products. `grad_check` and the single-sample `conv1d_forward` and
+`avgpool_forward` run in float64, so the finite-difference check stays
+meaningful. `params_` hold float32-exact float64 values: a float32 pass
+sees them unrounded, a float64 pass sees them unchanged, and the float64
+checkpoint reloads to bit-identical predictions.
 
 Training is mini-batch Adam on the MSE between predicted probability and
 the 0/1 label, with weight decay added to the gradient as lambda * theta
@@ -13,10 +22,12 @@ before the moment updates (the coupled convention). The step decays from
 learning_rate along a half cosine over the epochs (Loshchilov & Hutter
 2017), so an outlier batch late in training cannot throw the final weights
 off. Reductions over the batch run in a fixed order, so a seeded fit gives
-the same bits at any BLAS thread count.
+the same bits at any BLAS thread count. Each epoch's step and MSE go to the
+"wellmon.cnn" logger at DEBUG level.
 """
 
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,30 +37,36 @@ from .base import BaseEstimator, check_is_fitted
 from .logreg import sigmoid
 from .validation import as_label_vector
 
+logger = logging.getLogger(__name__)
+
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
 
 
 # ---------------------------------------------------------------------------
-# activations: (value, derivative) evaluated at the pre-activation
+# activations: value f(z) and derivative df(z, a), where a = f(z) comes from
+# the forward pass so backward never re-evaluates f; both keep z's dtype
 # ---------------------------------------------------------------------------
 
+def _swish_grad(z, a):
+    # swish = z * s with s = sigmoid(z): swish' = s + z * s * (1 - s). The
+    # forward value a = z * s does not give s back at z = 0, so s is
+    # evaluated here
+    s = sigmoid(z)
+    return s + a * (1.0 - s)
+
+
+def _leaky_relu_grad(z, a):
+    return np.maximum((z > 0).astype(z.dtype), 0.01)
+
+
 ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": (sigmoid, lambda z: sigmoid(z) * (1.0 - sigmoid(z))),
-    "swish": (
-        lambda z: z * sigmoid(z),
-        lambda z: sigmoid(z) * (1.0 + z * (1.0 - sigmoid(z))),
-    ),
-    "relu": (
-        lambda z: np.maximum(z, 0.0),
-        lambda z: (z > 0).astype(np.float64),
-    ),
-    "leaky_relu": (
-        lambda z: np.where(z > 0, z, 0.01 * z),
-        lambda z: np.where(z > 0, 1.0, 0.01),
-    ),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "sigmoid": (sigmoid, lambda z, a: a * (1.0 - a)),
+    "swish": (lambda z: z * sigmoid(z), _swish_grad),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0).astype(z.dtype)),
+    "leaky_relu": (lambda z: np.maximum(z, 0.01 * z), _leaky_relu_grad),
 }
 
 # activations with a non-differentiable point at zero
@@ -61,14 +78,15 @@ KINKED = ("relu", "leaky_relu")
 # ---------------------------------------------------------------------------
 
 def _unfold(x, k):
-    """(B, C, L) -> (B, L-k+1, C*k) sliding windows."""
+    """(B, C, L) -> (B, C*k, L-k+1): row c*k + j holds channel c shifted by j,
+    so column p is the input patch that output position p reads."""
     b, c, length = x.shape
     lo = length - k + 1
     s = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(b, c, lo, k), strides=(s[0], s[1], s[2], s[2])
+        x, shape=(b, c, k, lo), strides=(s[0], s[1], s[2], s[2])
     )
-    return np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(b, lo, c * k)
+    return windows.reshape(b, c * k, lo)
 
 
 def _conv_batch(x, filters, bias, unfolded=None):
@@ -80,8 +98,7 @@ def _conv_batch(x, filters, bias, unfolded=None):
         raise ValueError(f"input length {length} < kernel size {k}")
     if unfolded is None:
         unfolded = _unfold(x, k)
-    out = unfolded @ filters.reshape(c_out, -1).T + bias
-    return out.transpose(0, 2, 1)
+    return filters.reshape(c_out, -1) @ unfolded + bias[:, None]
 
 
 def _conv_batch_backward(unfolded, filters, grad_out, need_input_grad=True):
@@ -92,24 +109,28 @@ def _conv_batch_backward(unfolded, filters, grad_out, need_input_grad=True):
     # one BLAS product per sample, then a numpy sum over the batch: a single
     # product contracting batch and position would let BLAS split that
     # reduction across threads, so the bits would follow the thread count
-    grad_flat = np.matmul(grad_out, unfolded).sum(axis=0)
+    grad_flat = np.matmul(unfolded, grad_out.transpose(0, 2, 1)).sum(axis=0).T
     grad_filters = grad_flat.reshape(c_out, c_in, k)
     if not need_input_grad:
         return None, grad_filters, grad_bias
-    # grad wrt input = full correlation with channel-transposed flipped filters
-    padded = np.pad(grad_out, ((0, 0), (0, 0), (k - 1, k - 1)))
-    flipped = filters[:, :, ::-1].transpose(1, 0, 2)
-    grad_x = _conv_batch(padded, np.ascontiguousarray(flipped), np.zeros(c_in))
+    # col2im (Chellapilla et al. 2006): W^T g is the gradient of every
+    # unfolded row, and row (c, j) read channel c shifted by j, so it is
+    # added back at that shift
+    b, _, lo = unfolded.shape
+    patches = (filters.reshape(c_out, -1).T @ grad_out).reshape(b, c_in, k, lo)
+    grad_x = np.zeros((b, c_in, lo + k - 1), dtype=patches.dtype)
+    for j in range(k):
+        grad_x[:, :, j : j + lo] += patches[:, :, j]
     return grad_x, grad_filters, grad_bias
 
 
 _POOL_CACHE = {}
 
 
-def _cached_pool_matrix(length, kernel, stride):
-    key = (length, kernel, stride)
+def _cached_pool_matrix(length, kernel, stride, dtype):
+    key = (length, kernel, stride, np.dtype(dtype))
     if key not in _POOL_CACHE:
-        _POOL_CACHE[key] = _pool_matrix(length, kernel, stride)
+        _POOL_CACHE[key] = _pool_matrix(length, kernel, stride).astype(dtype)
     return _POOL_CACHE[key]
 
 
@@ -197,24 +218,27 @@ class CnnClassifier(BaseEstimator):
 
     def init_params(self, input_len=300):
         """Seeded uniform +/- 1/sqrt(fan_in) init, one draw order per tensor:
-        conv weights then bias per layer, then fc1, then fc2."""
+        conv weights then bias per layer, then fc1, then fc2. Each draw is
+        rounded to float32, so float32 training starts from these values."""
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         rng = np.random.default_rng((self.seed, 0))
+
+        def draw(fan_in, shape):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, shape).astype(np.float32).astype(np.float64)
+
         params = {}
         c_in = self.in_channels
         for i, (c_out, k) in enumerate(self.conv_layers, start=1):
-            bound = 1.0 / np.sqrt(c_in * k)
-            params[f"conv{i}.W"] = rng.uniform(-bound, bound, (c_out, c_in, k))
-            params[f"conv{i}.b"] = rng.uniform(-bound, bound, c_out)
+            params[f"conv{i}.W"] = draw(c_in * k, (c_out, c_in, k))
+            params[f"conv{i}.b"] = draw(c_in * k, c_out)
             c_in = c_out
         flat = self.flatten_size(input_len)
-        bound = 1.0 / np.sqrt(flat)
-        params["fc1.W"] = rng.uniform(-bound, bound, (self.embedding_dim, flat))
-        params["fc1.b"] = rng.uniform(-bound, bound, self.embedding_dim)
-        bound = 1.0 / np.sqrt(self.embedding_dim)
-        params["fc2.W"] = rng.uniform(-bound, bound, (1, self.embedding_dim))
-        params["fc2.b"] = rng.uniform(-bound, bound, 1)
+        params["fc1.W"] = draw(flat, (self.embedding_dim, flat))
+        params["fc1.b"] = draw(flat, self.embedding_dim)
+        params["fc2.W"] = draw(self.embedding_dim, (1, self.embedding_dim))
+        params["fc2.b"] = draw(self.embedding_dim, 1)
         self.params_ = params
         self.flatten_size_ = flat
         self.input_len_ = input_len
@@ -222,8 +246,11 @@ class CnnClassifier(BaseEstimator):
 
     # -- forward / backward --------------------------------------------------
 
-    def _prepare_batch(self, X):
-        X = np.asarray(X, dtype=np.float64)
+    def _prepare_batch(self, X, dtype=np.float32):
+        """(B, C, L) or one (C, L) window, cast to the dtype the passes run
+        in; NaN, inf and values beyond that dtype's range are rejected."""
+        with np.errstate(over="ignore"):
+            X = np.asarray(X, dtype=dtype)
         if X.ndim == 2:
             X = X[None]
         if X.ndim != 3:
@@ -232,30 +259,36 @@ class CnnClassifier(BaseEstimator):
             raise ValueError(
                 f"conv1: expected {self.in_channels} channels, got {X.shape[1]}"
             )
+        if not np.isfinite(X).all():
+            raise ValueError(
+                f"input holds NaN, inf or values beyond the {X.dtype} range"
+            )
         return X
 
     def _forward(self, X):
+        """Forward pass in X's dtype, caching what backward needs."""
         check_is_fitted(self, "params_")
-        act, dact = ACTIVATIONS[self.activation]
-        cache = {"unfolded": [], "preacts": []}
+        act, _ = ACTIVATIONS[self.activation]
+        params = {name: p.astype(X.dtype, copy=False) for name, p in self.params_.items()}
+        cache = {"params": params, "unfolded": [], "preacts": [], "acts": []}
         out = X
         for i in range(1, len(self.conv_layers) + 1):
-            k = self.params_[f"conv{i}.W"].shape[2]
+            k = params[f"conv{i}.W"].shape[2]
             if out.shape[2] < k:
                 raise ValueError(f"conv{i}: input length {out.shape[2]} < kernel {k}")
             unfolded = _unfold(out, k)
             cache["unfolded"].append(unfolded)
-            z = _conv_batch(
-                out, self.params_[f"conv{i}.W"], self.params_[f"conv{i}.b"],
-                unfolded=unfolded,
-            )
+            z = _conv_batch(out, params[f"conv{i}.W"], params[f"conv{i}.b"],
+                            unfolded=unfolded)
             cache["preacts"].append(z)
             a = act(z)
+            cache["acts"].append(a)
             if a.shape[2] < self.pool_kernel:
                 raise ValueError(
                     f"pool{i}: input length {a.shape[2]} < kernel {self.pool_kernel}"
                 )
-            pool = _cached_pool_matrix(a.shape[2], self.pool_kernel, self.pool_stride)
+            pool = _cached_pool_matrix(a.shape[2], self.pool_kernel, self.pool_stride,
+                                       X.dtype)
             cache[f"pool{i}"] = pool
             out = a @ pool.T
         flat = out.reshape(out.shape[0], -1)
@@ -266,25 +299,28 @@ class CnnClassifier(BaseEstimator):
             )
         cache["conv_out_shape"] = out.shape
         cache["flat"] = flat
-        z3 = flat @ self.params_["fc1.W"].T + self.params_["fc1.b"]
+        z3 = flat @ params["fc1.W"].T + params["fc1.b"]
         cache["z3"] = z3
         embedding = act(z3)
         cache["embedding"] = embedding
-        z4 = embedding @ self.params_["fc2.W"].T + self.params_["fc2.b"]
+        z4 = embedding @ params["fc2.W"].T + params["fc2.b"]
         cache["z4"] = z4
         cache["probs"] = sigmoid(z4)[:, 0]
         return cache
 
     def forward(self, X):
-        """Probabilities in (0, 1) and the 2-D embedding after fc1."""
+        """Probabilities in (0, 1) and the 2-D embedding after fc1, both
+        computed in float32."""
         X = self._prepare_batch(X)
         cache = self._forward(X)
         return cache["probs"], cache["embedding"]
 
     def _loss_and_grads(self, X, y):
-        act, dact = ACTIVATIONS[self.activation]
+        _, dact = ACTIVATIONS[self.activation]
         cache = self._forward(X)
+        params = cache["params"]
         probs = cache["probs"]
+        y = np.asarray(y, dtype=X.dtype)
         batch = X.shape[0]
         loss = float(np.mean((probs - y) ** 2))
         grads = {}
@@ -292,38 +328,52 @@ class CnnClassifier(BaseEstimator):
         dz4 = (dprob * probs * (1.0 - probs))[:, None]
         grads["fc2.W"] = dz4.T @ cache["embedding"]
         grads["fc2.b"] = dz4.sum(axis=0)
-        demb = dz4 @ self.params_["fc2.W"]
-        dz3 = demb * dact(cache["z3"])
+        demb = dz4 @ params["fc2.W"]
+        dz3 = demb * dact(cache["z3"], cache["embedding"])
         grads["fc1.W"] = dz3.T @ cache["flat"]
         grads["fc1.b"] = dz3.sum(axis=0)
-        dflat = dz3 @ self.params_["fc1.W"]
+        dflat = dz3 @ params["fc1.W"]
         dout = dflat.reshape(cache["conv_out_shape"])
         for i in range(len(self.conv_layers), 0, -1):
             da = dout @ cache[f"pool{i}"]
-            dz = da * dact(cache["preacts"][i - 1])
+            dz = da * dact(cache["preacts"][i - 1], cache["acts"][i - 1])
             dout, grads[f"conv{i}.W"], grads[f"conv{i}.b"] = _conv_batch_backward(
-                cache["unfolded"][i - 1], self.params_[f"conv{i}.W"], dz,
+                cache["unfolded"][i - 1], params[f"conv{i}.W"], dz,
                 need_input_grad=(i > 1),
             )
         return loss, grads, cache
 
+    def _adam_step(self, grads, m, v, t, step):
+        """Adam update t (1-based) of params_ in place, with coupled weight
+        decay; m and v hold the first and second moments per tensor."""
+        beta1, beta2 = (float(b) for b in self.adam_betas)
+        weight_decay, eps = float(self.weight_decay), float(self.adam_eps)
+        for name, param in self.params_.items():
+            g = grads[name] + weight_decay * param
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            mhat = m[name] / (1.0 - beta1**t)
+            vhat = v[name] / (1.0 - beta2**t)
+            param -= step * mhat / (np.sqrt(vhat) + eps)
+
     # -- training ------------------------------------------------------------
 
     def fit(self, X, y, eval_set=None):
-        """Mini-batch Adam training; records per-epoch train/test MSE.
+        """Mini-batch Adam training in float32; records per-epoch train/test
+        MSE and logs each epoch at DEBUG level.
 
         eval_set is an optional (X_test, y_test) pair for the test curve.
         """
         X = self._prepare_batch(X)
-        y = as_label_vector(y).astype(np.float64)
+        y = as_label_vector(y).astype(X.dtype)
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y disagree on the number of samples")
         if self.learning_rate < 0 or self.weight_decay < 0 or self.epochs < 0:
             raise ValueError("learning_rate, weight_decay, epochs must be >= 0")
         self.init_params(X.shape[2])
-        beta1, beta2 = self.adam_betas
-        m = {k: np.zeros_like(v) for k, v in self.params_.items()}
-        v = {k: np.zeros_like(val) for k, val in self.params_.items()}
+        self.params_ = {k: p.astype(X.dtype) for k, p in self.params_.items()}
+        m = {k: np.zeros_like(p) for k, p in self.params_.items()}
+        v = {k: np.zeros_like(p) for k, p in self.params_.items()}
         t = 0
         rng = np.random.default_rng((self.seed, 1))
         history = {"train_mse": [], "test_mse": []}
@@ -332,7 +382,7 @@ class CnnClassifier(BaseEstimator):
         for epoch in range(self.epochs):
             # half-cosine decay from learning_rate towards 0 over the epochs
             decay = 0.5 * (1.0 + np.cos(np.pi * epoch / self.epochs))
-            step = self.learning_rate * decay
+            step = float(self.learning_rate * decay)
             perm = rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, batch_size):
@@ -344,17 +394,15 @@ class CnnClassifier(BaseEstimator):
                     )
                 epoch_loss += loss * len(idx)
                 t += 1
-                for name, param in self.params_.items():
-                    g = grads[name] + self.weight_decay * param
-                    m[name] = beta1 * m[name] + (1.0 - beta1) * g
-                    v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
-                    mhat = m[name] / (1.0 - beta1**t)
-                    vhat = v[name] / (1.0 - beta2**t)
-                    param -= step * mhat / (np.sqrt(vhat) + self.adam_eps)
+                self._adam_step(grads, m, v, t, step)
             # epoch training curve = sample-weighted mean of the batch losses
             history["train_mse"].append(epoch_loss / n)
+            progress = f"epoch {epoch}: step {step:.4g}, train MSE {epoch_loss / n:.6g}"
             if eval_set is not None:
                 history["test_mse"].append(self.mse(eval_set[0], eval_set[1]))
+                progress += f", test MSE {history['test_mse'][-1]:.6g}"
+            logger.debug(progress)
+        self.params_ = {k: p.astype(np.float64) for k, p in self.params_.items()}
         self.history_ = history
         return self
 
@@ -390,7 +438,8 @@ class CnnClassifier(BaseEstimator):
         return loss, signs
 
     def grad_check(self, X, y, eps=1e-5, fraction=0.01, seed=0):
-        """Max relative error between analytic and central-difference grads.
+        """Max relative error between analytic and central-difference grads,
+        both computed in float64.
 
         A random fraction of each tensor is probed. Two probe classes are
         excluded: for kinked activations, probes whose +/- eps evaluations
@@ -398,7 +447,7 @@ class CnnClassifier(BaseEstimator):
         probes whose loss difference sits below double-precision round-off
         (the central difference then carries no gradient information).
         """
-        X = self._prepare_batch(X)
+        X = self._prepare_batch(X, np.float64)
         y = np.asarray(y, dtype=np.float64)
         _, grads, _ = self._loss_and_grads(X, y)
         rng = np.random.default_rng(seed)

@@ -17,8 +17,11 @@ from .validation import check_X_y, require_both_classes
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
-    z = np.asarray(z, dtype=np.float64)
+    """Numerically stable logistic function, in float32 for float32 input
+    and in float64 otherwise."""
+    z = np.asarray(z)
+    if z.dtype != np.float32:
+        z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))

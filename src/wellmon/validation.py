@@ -105,8 +105,9 @@ def cv_accuracy(make_model, X, y, folds):
 def write_csv(path, header, rows, append=False):
     """Write rows as CSV; append skips the header of an existing file.
 
-    This is the toolkit's on-disk number format: floats are written as
-    %.17g, which reads back bit for bit; strings and ints pass unchanged.
+    This is the toolkit's on-disk number format: floats (numpy float32
+    included) are written as %.17g, which reads back bit for bit; strings
+    and ints pass unchanged.
     """
     with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -114,5 +115,5 @@ def write_csv(path, header, rows, append=False):
             writer.writerow(header)
         for row in rows:
             writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                [f"{v:.17g}" if isinstance(v, (float, np.floating)) else v for v in row]
             )

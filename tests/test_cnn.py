@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from wellmon.cnn import (
     CnnClassifier,
     SearchSpace,
     TrainingDivergedError,
+    _conv_batch_backward,
+    _unfold,
     avgpool_forward,
     conv1d_forward,
     random_search,
@@ -56,6 +59,25 @@ def test_conv_matches_direct_computation(rng):
         for i in range(16):
             expected = bias[c] + np.sum(filters[c] * x[:, i : i + 5])
             assert out[c, i] == pytest.approx(expected, abs=1e-12)
+
+
+def test_conv_input_gradient_matches_full_correlation(rng):
+    # grad_x[b, c, i] = sum over o and 0 <= i - j < lo of g[b, o, i-j] W[o, c, j],
+    # at the conv1 and conv2 shapes of the default network
+    k = 30
+    for c_in, c_out, length in ((6, 12, 300), (12, 24, 52)):
+        lo = length - k + 1
+        x = rng.standard_normal((2, c_in, length))
+        filters = rng.standard_normal((c_out, c_in, k))
+        grad_out = rng.standard_normal((2, c_out, lo))
+        grad_x, _, _ = _conv_batch_backward(_unfold(x, k), filters, grad_out)
+        expected = np.zeros_like(x)
+        for c in range(c_in):
+            for i in range(length):
+                for j in range(max(0, i - lo + 1), min(k, i + 1)):
+                    expected[:, c, i] += grad_out[:, :, i - j] @ filters[:, c, j]
+        assert grad_x.shape == x.shape
+        assert np.max(np.abs(grad_x - expected)) < 1e-12
 
 
 def test_conv_rejects_short_input(rng):
@@ -129,12 +151,14 @@ def test_forward_before_init_raises(rng):
 
 def test_activations_cover_table_set():
     assert set(ACTIVATIONS) == {"tanh", "sigmoid", "swish", "relu", "leaky_relu"}
-    f, df = ACTIVATIONS["swish"]
-    z = np.array([0.7])
-    assert f(z)[0] == pytest.approx(0.7 / (1.0 + np.exp(-0.7)))
+    f, _ = ACTIVATIONS["swish"]
+    assert f(np.array([0.7]))[0] == pytest.approx(0.7 / (1.0 + np.exp(-0.7)))
+    # each derivative takes the forward value a = f(z) alongside z
+    z = np.array([-2.3, -0.7, 0.4, 0.7, 3.1])
     eps = 1e-6
-    numeric = (f(z + eps) - f(z - eps)) / (2 * eps)
-    assert df(z)[0] == pytest.approx(numeric[0], abs=1e-8)
+    for name, (f, df) in ACTIVATIONS.items():
+        numeric = (f(z + eps) - f(z - eps)) / (2 * eps)
+        assert np.allclose(df(z, f(z)), numeric, rtol=0, atol=1e-8), name
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +198,37 @@ def test_loss_decreases_early(rng):
         assert curve[-1] < curve[0]
 
 
-def test_history_shapes(rng):
+def test_history_shapes(rng, caplog):
     X, y = _toy_data(rng)
     model = CnnClassifier(epochs=4, learning_rate=1e-3, seed=0)
-    model.fit(X, y, eval_set=(X, y))
+    with caplog.at_level(logging.DEBUG, logger="wellmon.cnn"):
+        model.fit(X, y, eval_set=(X, y))
     assert len(model.history_["train_mse"]) == 4
     assert len(model.history_["test_mse"]) == 4
+    # one progress line per epoch
+    lines = [r.getMessage() for r in caplog.records if r.name == "wellmon.cnn"]
+    assert len(lines) == 4
+    assert lines[3].startswith("epoch 3: step ")
+    assert f"test MSE {model.history_['test_mse'][3]:.6g}" in lines[3]
+
+
+def test_float32_step_stays_float32(rng):
+    # a single float64 derivative or scalar in the chain promotes the whole
+    # backward pass to float64 through the mixed-dtype products
+    X, y = _toy_data(rng, n=4)
+    X = X.astype(np.float32)
+    for activation in ACTIVATIONS:
+        model = CnnClassifier(activation=activation, weight_decay=1e-4, seed=0)
+        model.init_params(300)
+        model.params_ = {k: p.astype(np.float32) for k, p in model.params_.items()}
+        _, grads, cache = model._loss_and_grads(X, y)
+        m = {k: np.zeros_like(p) for k, p in model.params_.items()}
+        v = {k: np.zeros_like(p) for k, p in model.params_.items()}
+        model._adam_step(grads, m, v, 1, 1e-3)
+        assert cache["probs"].dtype == np.float32, activation
+        for tensors in (grads, m, v, model.params_):
+            for name, tensor in tensors.items():
+                assert tensor.dtype == np.float32, (activation, name)
 
 
 def test_training_determinism(rng):
@@ -223,12 +272,26 @@ def test_training_independent_of_blas_threads():
 
 
 def test_divergence_aborts_with_location(rng):
-    # the guard fires on any non-finite loss, naming epoch and batch
+    # the guard fires on any non-finite loss, naming epoch and batch: the
+    # first step of size 1e20 overflows the float32 activations of batch 1
     X, y = _toy_data(rng, n=4)
-    X[2, 3, 17] = np.nan
-    model = CnnClassifier(epochs=5, learning_rate=1e-3, batch_size=4, seed=0)
-    with pytest.raises(TrainingDivergedError, match="epoch 0, batch 0"):
-        model.fit(X, y)
+    model = CnnClassifier(epochs=5, learning_rate=1e20, batch_size=2, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match="epoch 0, batch 1"):
+            model.fit(X, y)
+
+
+def test_non_finite_input_rejected(rng):
+    # a NaN probability compares false with 0.5, so it would silently read
+    # as intact; an overflow to inf in the float32 cast would read as 1.0
+    X, y = _toy_data(rng, n=4)
+    model = CnnClassifier(epochs=1, seed=0).init_params(300)
+    for bad in (np.nan, np.inf, 1e39):
+        X_bad = X.copy()
+        X_bad[1, 3, 17] = bad
+        for call in (model.predict, model.embed, lambda X: model.fit(X, y)):
+            with pytest.raises(ValueError, match="NaN, inf"):
+                call(X_bad)
 
 
 def test_predict_threshold(rng):
@@ -287,6 +350,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     loaded = CnnClassifier.load(tmp_path / "cnn_model")
     for name in model.params_:
         assert np.array_equal(loaded.params_[name], model.params_[name])
+    assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
     assert np.array_equal(loaded.predict(X), model.predict(X))
 
 

@@ -221,3 +221,6 @@ def test_emit_cnn_embedding(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x1,x2,label"
     assert len(lines) == len(test) + 1
+    # the float32 embedding is written as %.17g and reads back exactly
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, :2], pipeline.embed(test))
