@@ -4,7 +4,11 @@ Splits compare feature <= threshold going left, with thresholds at midpoints
 between consecutive sorted unique values. Splits with zero impurity
 reduction are still taken when nothing better exists (needed to solve
 XOR-like structure), so an unrestricted fit reaches 100% train accuracy on
-consistent data. Post-pruning is weakest-link cost-complexity pruning with
+consistent data. A node's split search sorts each feature once and scores
+all its thresholds as one array expression over the cumulative class
+counts (CART, Breiman et al. 1984), with the arithmetic of the scalar
+gini/entropy, so the grown tree is the same as a one-threshold-at-a-time
+scan would give. Post-pruning is weakest-link cost-complexity pruning with
 R = total weighted misclassification rate.
 """
 
@@ -17,7 +21,8 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .validation import (
-    check_X_y, cv_accuracy, require_both_classes, stratified_kfold_indices,
+    as_query_rows, check_X_y, cv_accuracy, require_both_classes,
+    stratified_kfold_indices,
 )
 
 
@@ -167,14 +172,40 @@ def _route(node, x):
     return node
 
 
+def _gini_rows(zeros, ones, n_side):
+    """gini per candidate child, in the arithmetic of the scalar gini."""
+    p0 = zeros / n_side
+    p1 = ones / n_side
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def _entropy_rows(zeros, ones, n_side):
+    """entropy per candidate child, in the arithmetic of the scalar entropy:
+    a zero class adds an exact 0 term (p * log2(1)) instead of being dropped."""
+    terms = []
+    for count in (zeros, ones):
+        p = count / n_side
+        terms.append(p * np.log2(np.where(p > 0, p, 1.0)))
+    return -(terms[0] + terms[1])
+
+
+_ROW_CRITERIA = {"gini": _gini_rows, "entropy": _entropy_rows}
+
+
 def _best_split(X, y, idx, criterion, min_samples_leaf):
     """Best (feature, threshold) minimizing weighted child impurity.
 
-    Candidates are midpoints between consecutive sorted unique values.
-    Tie-break: lowest feature index, then lowest threshold (first minimum
-    wins since features and thresholds are scanned in ascending order).
+    Candidates are midpoints between consecutive sorted unique values whose
+    children both hold at least min_samples_leaf samples. Each feature
+    scores all its candidates in one array pass over the cumulative class
+    counts, with the same elementwise arithmetic as gini/entropy, so the
+    weighted impurities are bit-identical to scoring them one at a time.
+    Tie-break: lowest feature index, then lowest threshold; a candidate
+    replaces the best so far only when it is below it by more than 1e-15.
+    Only a strict record of a feature's running minimum can pass that test,
+    so just those records are compared in ascending order.
     """
-    impurity = _CRITERIA[criterion]
+    impurity = _ROW_CRITERIA[criterion]
     n = len(idx)
     best = None  # (weighted_impurity, feature, threshold)
     labels = y[idx]
@@ -182,26 +213,26 @@ def _best_split(X, y, idx, criterion, min_samples_leaf):
         values = X[idx, f]
         order = np.argsort(values, kind="stable")
         sv = values[order]
-        sy = labels[order]
-        distinct = np.flatnonzero(sv[:-1] < sv[1:])  # split after position i
-        if distinct.size == 0:
+        ones_cum = np.cumsum(labels[order])
+        cut = np.flatnonzero(sv[:-1] < sv[1:])  # split after position i
+        n_left = cut + 1
+        n_right = n - n_left
+        allowed = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        cut, n_left, n_right = cut[allowed], n_left[allowed], n_right[allowed]
+        if cut.size == 0:
             continue
-        ones_cum = np.cumsum(sy)
-        total_ones = ones_cum[-1]
-        for i in distinct:
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
-                continue
-            left_ones = ones_cum[i]
-            left_counts = (n_left - left_ones, left_ones)
-            right_counts = (n_right - (total_ones - left_ones), total_ones - left_ones)
-            weighted = (
-                n_left * impurity(left_counts) + n_right * impurity(right_counts)
-            ) / n
-            if best is None or weighted < best[0] - 1e-15:
-                threshold = 0.5 * (sv[i] + sv[i + 1])
-                best = (weighted, f, threshold)
+        left_ones = ones_cum[cut]
+        right_ones = ones_cum[-1] - left_ones
+        weighted = (
+            n_left * impurity(n_left - left_ones, left_ones, n_left)
+            + n_right * impurity(n_right - right_ones, right_ones, n_right)
+        ) / n
+        running = np.minimum.accumulate(weighted)
+        records = np.flatnonzero(np.r_[True, running[1:] < running[:-1]])
+        for r in records:
+            if best is None or weighted[r] < best[0] - 1e-15:
+                i = cut[r]
+                best = (weighted[r], f, 0.5 * (sv[i] + sv[i + 1]))
     return best
 
 
@@ -279,13 +310,7 @@ class DecisionTree(BaseEstimator):
 
     def predict(self, X):
         check_is_fitted(self, "root_")
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {X.shape[1]}"
-            )
+        X, single = as_query_rows(X, self.n_features_in_)
         labels = np.array([_route(self.root_, x).predicted for x in X], dtype=np.int64)
         return int(labels[0]) if single else labels
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .validation import check_X_y, require_both_classes
+from .validation import as_query_rows, check_X_y, require_both_classes
 
 
 def sigmoid(z):
@@ -132,13 +132,7 @@ class LogisticRegression(BaseEstimator):
 
     def _scores(self, X):
         check_is_fitted(self, "weights_")
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
-        if X.shape[1] != self.weights_.shape[0]:
-            raise ValueError(
-                f"expected {self.weights_.shape[0]} features, got {X.shape[1]}"
-            )
+        X, single = as_query_rows(X, self.weights_.shape[0])
         return self.intercept_ + X @ self.weights_, single
 
     def predict_proba(self, X):

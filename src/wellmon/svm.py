@@ -16,7 +16,8 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .validation import (
-    check_X_y, cv_accuracy, require_both_classes, stratified_kfold_indices,
+    as_query_rows, check_X_y, cv_accuracy, require_both_classes,
+    stratified_kfold_indices,
 )
 
 ALPHA_SNAP = 1e-8
@@ -239,14 +240,7 @@ class SvmClassifier(BaseEstimator):
     def decision_function(self, X):
         """D(x) = sum_j y_j alpha_j K(x_j, x) + b."""
         check_is_fitted(self, "bias_")
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
-        if X.shape[1] != self.support_vectors_.shape[1]:
-            raise ValueError(
-                f"expected {self.support_vectors_.shape[1]} features, "
-                f"got {X.shape[1]}"
-            )
+        X, single = as_query_rows(X, self.support_vectors_.shape[1])
         K = kernel_matrix(self.kernel, X, self.support_vectors_, self.gamma_)
         d = K @ (self.alphas_ * self.support_labels_) + self.bias_
         return float(d[0]) if single else d

@@ -26,6 +26,22 @@ def as_float_vector(x, name="x"):
     return x
 
 
+def as_query_rows(X, n_features):
+    """Coerce prediction input to finite float64 rows of n_features.
+
+    A 1-D input is one row. Returns (rows, single), where single says the
+    input was 1-D, so the caller can hand back a scalar.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 1
+    X = np.atleast_2d(X)
+    if X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X contains non-finite entries")
+    return X, single
+
+
 def as_label_vector(y, name="y"):
     """Coerce labels to a 1-D int array of 0/1."""
     y = np.asarray(y)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wellmon import dtree
 from wellmon.dtree import (
     DecisionTree,
     PRE_PRUNING_GRIDS,
@@ -172,6 +173,133 @@ def test_greedy_root_matches_exhaustive_search(rng, criterion):
             assert not tree.root_.is_leaf
             assert tree.root_.feature == expected[1]
             assert tree.root_.threshold == pytest.approx(expected[2])
+
+
+def _reference_best_split(X, y, idx, criterion, min_samples_leaf):
+    """One-threshold-at-a-time split scan with the scalar impurity: the
+    library's split search before it scored a feature in one array pass."""
+    impurity = dtree._CRITERIA[criterion]
+    n = len(idx)
+    best = None
+    labels = y[idx]
+    for f in range(X.shape[1]):
+        values = X[idx, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sy = labels[order]
+        distinct = np.flatnonzero(sv[:-1] < sv[1:])
+        if distinct.size == 0:
+            continue
+        ones_cum = np.cumsum(sy)
+        total_ones = ones_cum[-1]
+        for i in distinct:
+            n_left = i + 1
+            n_right = n - n_left
+            if n_left < min_samples_leaf or n_right < min_samples_leaf:
+                continue
+            left_ones = ones_cum[i]
+            left_counts = (n_left - left_ones, left_ones)
+            right_counts = (n_right - (total_ones - left_ones), total_ones - left_ones)
+            weighted = (
+                n_left * impurity(left_counts) + n_right * impurity(right_counts)
+            ) / n
+            if best is None or weighted < best[0] - 1e-15:
+                threshold = 0.5 * (sv[i] + sv[i + 1])
+                best = (weighted, f, threshold)
+    return best
+
+
+def _reference_tree(monkeypatch, X, y, **params):
+    with monkeypatch.context() as patch:
+        patch.setattr(dtree, "_best_split", _reference_best_split)
+        return DecisionTree(**params).fit(X, y)
+
+
+def _surrogate_cov_pca4():
+    """COV+PCA(4) features of 3+3 noise-50 series: 120 one-minute windows."""
+    from wellmon.dataset import generate, preset_config, window
+    from wellmon.pca import PCA
+    from wellmon.transforms import Standardizer, transform_segments
+
+    cfg = preset_config(
+        "slack", n_series_per_class=3, seed=1, noise_level=50, series_len=6001
+    )
+    fm = transform_segments(window(generate(cfg), 60.0), "cov")
+    scaled = Standardizer().fit(fm).transform(fm)
+    projected = PCA(4).fit(scaled).transform(scaled)
+    return projected.values, projected.labels
+
+
+def test_whole_tree_matches_reference_scan(monkeypatch, rng):
+    problems = []
+    for trial in range(12):
+        n = int(rng.integers(10, 90))
+        X = rng.standard_normal((n, int(rng.integers(1, 4))))
+        if trial % 2:
+            X = np.round(X, 1)  # repeated values and tied thresholds
+        y = rng.integers(0, 2, size=n)
+        if len(np.unique(y)) == 2:
+            problems.append((X, y))
+    problems.append(_surrogate_cov_pca4())
+    fits = 0
+    for X, y in problems:
+        for criterion in ("gini", "entropy"):
+            for min_samples_leaf in (1, 2, 4, 7):
+                for max_depth in (None, 3):
+                    params = dict(
+                        criterion=criterion,
+                        min_samples_leaf=min_samples_leaf,
+                        max_depth=max_depth,
+                    )
+                    tree = DecisionTree(**params).fit(X, y)
+                    expected = _reference_tree(monkeypatch, X, y, **params)
+                    assert tree.root_.to_dict() == expected.root_.to_dict(), params
+                    fits += 1
+    assert fits >= 16 * 10
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_fit_scores_thresholds_without_scalar_impurity_calls(monkeypatch, rng, criterion):
+    # the scalar impurity is for node labels only: one call per grown node
+    calls = []
+    scalar = dtree._CRITERIA[criterion]
+
+    def counting(counts):
+        calls.append(1)
+        return scalar(counts)
+
+    monkeypatch.setitem(dtree._CRITERIA, criterion, counting)
+    X = rng.standard_normal((200, 3))
+    y = rng.integers(0, 2, size=200)
+    tree = DecisionTree(criterion=criterion).fit(X, y)
+    assert tree.n_nodes_ > 1
+    assert len(calls) <= tree.n_nodes_
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_duplicated_column_splits_on_first_feature(criterion):
+    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    X = np.column_stack([x, x])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    tree = DecisionTree(criterion=criterion).fit(X, y)
+    assert tree.root_.feature == 0
+    assert tree.root_.threshold == 2.5
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_min_samples_leaf_masks_the_best_threshold(monkeypatch, criterion):
+    # unconstrained, the best cut isolates the 0 at x = 0; with
+    # min_samples_leaf = 3 the best allowed cut puts both 0s left of 4.5
+    # and leaves a pure right child
+    X = np.arange(10.0)[:, None]
+    y = np.array([0, 1, 1, 1, 0, 1, 1, 1, 1, 1])
+    free = DecisionTree(criterion=criterion, max_depth=1).fit(X, y)
+    assert free.root_.threshold == 0.5
+    tree = DecisionTree(criterion=criterion, max_depth=1, min_samples_leaf=3).fit(X, y)
+    expected = _reference_tree(
+        monkeypatch, X, y, criterion=criterion, max_depth=1, min_samples_leaf=3
+    )
+    assert tree.root_.threshold == expected.root_.threshold == 4.5
 
 
 def test_executed_splits_never_increase_impurity(rng):
@@ -394,6 +522,15 @@ def test_json_roundtrip(tmp_path, rng):
 def test_pruning_path_invariant():
     with pytest.raises(ValueError, match="non-increasing"):
         PruningPath(alphas=(0.0, 0.1), node_counts=(3, 5), depths=(1, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite(bad):
+    tree = DecisionTree().fit(XOR_X, XOR_Y)
+    with pytest.raises(ValueError, match="non-finite"):
+        tree.predict(np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        tree.predict(np.array([[0.0, 1.0], [0.0, bad]]))
 
 
 def test_errors():

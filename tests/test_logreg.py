@@ -164,6 +164,18 @@ def test_errors():
         model.predict(np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite(bad):
+    model = LogisticRegression().fit(ORACLE_X, ORACLE_Y)
+    row = np.zeros(ORACLE_X.shape[1])
+    row[0] = bad
+    for call in (model.predict, model.predict_proba):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(row)
+        with pytest.raises(ValueError, match="non-finite"):
+            call(np.vstack([np.zeros_like(row), row]))
+
+
 def test_sigmoid_stability():
     z = np.array([-1e4, -30.0, 0.0, 30.0, 1e4])
     p = sigmoid(z)

@@ -356,6 +356,16 @@ def test_json_roundtrip(tmp_path, rng):
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite(bad):
+    model = SvmClassifier(kernel="rbf", C=1.0, gamma=1.0).fit(XOR_X, XOR_Y)
+    for call in (model.predict, model.decision_function):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            call(np.array([[0.0, 1.0], [0.0, bad]]))
+
+
 def test_errors():
     with pytest.raises(ValueError, match="both classes"):
         SvmClassifier().fit(np.zeros((3, 1)), np.zeros(3, dtype=int))
