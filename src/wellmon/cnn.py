@@ -179,8 +179,8 @@ class CnnClassifier(BaseEstimator):
         Drives parameter init and epoch shuffling; same seed, same model.
     """
 
-    def __init__(self, activation="leaky_relu", learning_rate=1e-2,
-                 weight_decay=0.0, batch_size=30, epochs=100,
+    def __init__(self, activation="leaky_relu", learning_rate=5e-3,
+                 weight_decay=0.0, batch_size=50, epochs=30,
                  adam_betas=(0.9, 0.999), adam_eps=1e-8,
                  conv_layers=((12, 30), (24, 30)), pool_kernel=15,
                  pool_stride=5, embedding_dim=2, in_channels=6, seed=0):

@@ -34,7 +34,14 @@ class DataError(ValueError):
     """Missing or inconsistent input data (CLI exit code 3)."""
 
 
-METHODS = ("logreg", "dtree", "svm", "cnn")
+# method name -> estimator class; its constructor holds the method's defaults
+ESTIMATORS = {
+    "logreg": LogisticRegression,
+    "dtree": DecisionTree,
+    "svm": SvmClassifier,
+    "cnn": CnnClassifier,
+}
+METHODS = tuple(ESTIMATORS)
 TRANSFORMS = ("std", "cov")
 
 
@@ -77,7 +84,29 @@ class PipelineConfig:
             )
         if not isinstance(self.method_params, dict):
             raise ConfigError("method_params must be an object")
+        for method in METHODS if self._keyed() else (self.method,):
+            params = self.params_for(method)
+            if not isinstance(params, dict):
+                raise ConfigError(f"method_params of {method} must be an object")
+            valid = ESTIMATORS[method]._param_names()
+            unknown = set(params) - set(valid)
+            if unknown:
+                raise ConfigError(
+                    f"unknown {method} parameter(s) {sorted(unknown)}; "
+                    f"valid are {sorted(valid)}"
+                )
         return self
+
+    def _keyed(self):
+        params = self.method_params
+        return bool(params) and all(key in METHODS for key in params)
+
+    def params_for(self, method):
+        """method_params either applies to self.method directly, or is keyed
+        by method name (the form `compare` uses: {"cnn": {...}, ...})."""
+        if self._keyed():
+            return self.method_params.get(method, {})
+        return self.method_params if method == self.method else {}
 
     def to_json(self):
         payload = asdict(self)
@@ -88,6 +117,8 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ConfigError("a config file holds one JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
@@ -220,40 +251,13 @@ class CnnPipeline:
         return pipeline
 
 
-def _default_estimator(method, params, seed):
-    params = dict(params)
-    if method == "logreg":
-        return LogisticRegression(**params)
-    if method == "dtree":
-        return DecisionTree(**params)
-    if method == "svm":
-        params.setdefault("seed", seed)
-        return SvmClassifier(**params)
-    if method == "cnn":
-        params.setdefault("seed", seed)
-        params.setdefault("epochs", 30)
-        params.setdefault("learning_rate", 5e-3)
-        params.setdefault("batch_size", 50)
-        return CnnClassifier(**params)
-    raise ConfigError(f"unknown method {method!r}")
-
-
-def _params_for(cfg, method):
-    """method_params either applies to cfg.method directly, or is keyed by
-    method name (the form `compare` uses: {"cnn": {...}, "svm": {...}})."""
-    params = cfg.method_params
-    if params and all(key in METHODS for key in params):
-        return params.get(method, {})
-    return params if method == cfg.method else {}
-
-
 def build_pipeline(cfg: PipelineConfig, method=None, channel_names=None):
     method = method or cfg.method
-    estimator = _default_estimator(method, _params_for(cfg, method), cfg.seed)
+    params = cfg.params_for(method)
     if method == "cnn":
-        return CnnPipeline("cnn", estimator)
+        return CnnPipeline("cnn", CnnClassifier(**{"seed": cfg.seed, **params}))
     return ClassicalPipeline(
-        method, cfg.transform, cfg.pcs, estimator, channel_names
+        method, cfg.transform, cfg.pcs, ESTIMATORS[method](**params), channel_names
     )
 
 
@@ -280,17 +284,21 @@ def subset_channels(segments, channel_names, keep):
     return out, keep
 
 
+def generate_series(cfg: PipelineConfig):
+    """The synthetic series set of cfg's preset, size, noise and seed."""
+    return dataset_mod.generate(dataset_mod.preset_config(
+        cfg.preset,
+        n_series_per_class=cfg.n_series_per_class,
+        noise_level=cfg.noise,
+        seed=cfg.seed,
+        series_len=cfg.series_len,
+    ))
+
+
 def prepare_segments(cfg: PipelineConfig, series_set=None):
     """Generate (or accept) series, window them, and split train/test."""
     if series_set is None:
-        gen_cfg = dataset_mod.preset_config(
-            cfg.preset,
-            n_series_per_class=cfg.n_series_per_class,
-            noise_level=cfg.noise,
-            seed=cfg.seed,
-            series_len=cfg.series_len,
-        )
-        series_set = dataset_mod.generate(gen_cfg)
+        series_set = generate_series(cfg)
     segments = dataset_mod.window(series_set, cfg.window_seconds)
     channel_names = series_set.channel_names
     if cfg.channels is not None:

@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from wellmon import cli, dataset
 from wellmon.cli import main
 from wellmon.cnn import random_search
 from wellmon.dtree import PRE_PRUNING_GRIDS, grid_search
-from wellmon.pipeline import PipelineConfig, build_pipeline, prepare_segments
+from wellmon.pipeline import (
+    PipelineConfig, build_pipeline, prepare_segments, run_pipeline,
+)
 from wellmon.validation import stratified_kfold_indices
 
 COMMON = ["--n-per-class", "2", "--len", "1501", "--seed", "0"]
@@ -310,3 +314,126 @@ def test_no_writes_outside_out_dir(data_dir, tmp_path, monkeypatch):
     assert run(["train", "logreg", "--data", data_dir, "--pcs", "2",
                 "--out", out]) == 0
     assert list(workdir.iterdir()) == []
+
+
+def _config_file(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _written_config(out):
+    return json.loads((out / "config.json").read_text())
+
+
+def test_typed_flags_override_config_file(data_dir, tmp_path):
+    config = _config_file(tmp_path, {"noise": 50, "seed": 5, "pcs": 3})
+    out = tmp_path / "typed"
+    assert run(["train", "logreg", "--data", data_dir, "--noise", "1",
+                "--seed", "0", "--config", config, "--out", out]) == 0
+    written = _written_config(out)
+    # typed flags win, even at their default values; the rest comes from
+    # the file
+    assert (written["noise"], written["seed"], written["pcs"]) == (1, 0, 3)
+
+
+def test_pre_prune_grid_follows_config_transform(data_dir, tmp_path, monkeypatch):
+    searched = {}
+
+    def spy(X, y, criterion, grid, k_folds, seed=0):
+        searched.update(n_features=X.shape[1], grid=grid, criterion=criterion)
+        return grid_search(X, y, criterion, grid, k_folds, seed=seed)
+
+    monkeypatch.setattr(cli, "grid_search", spy)
+    config = _config_file(tmp_path, {"transform": "std",
+                                     "method_params": {"criterion": "entropy"}})
+    assert run(["train", "dtree", "--data", data_dir, "--prune", "pre",
+                "--k-folds", "2", "--config", config, "--out", tmp_path / "o"]) == 0
+    assert searched == {"n_features": 6, "criterion": "entropy",
+                        "grid": PRE_PRUNING_GRIDS[("std", "entropy")]}
+
+
+def test_keyed_config_params_merge_with_method_flags(data_dir, tmp_path):
+    config = _config_file(tmp_path, {"method_params": {
+        "cnn": {"epochs": 1, "learning_rate": 1e-3}, "svm": {"C": 5.0}}})
+    out = tmp_path / "cnn"
+    assert run(["train", "cnn", "--data", data_dir, "--batch-size", "10",
+                "--learning-rate", "2e-3", "--config", config, "--out", out]) == 0
+    # config.json records the given settings only, flat for the trained method
+    assert _written_config(out)["method_params"] == {
+        "epochs": 1, "learning_rate": 2e-3, "batch_size": 10}
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "logreg"], ["train", "cnn", "--epochs", "1"], ["compare"],
+])
+def test_unknown_method_param_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+
+    monkeypatch.setattr(dataset, "generate", no_data)
+    config = _config_file(tmp_path, {"method_params": {"foo": 1}})
+    assert run([*argv, "--config", config, "--out", tmp_path / "o"]) == 2
+    assert "foo" in capsys.readouterr().err
+    keyed = _config_file(tmp_path, {"method_params": {"cnn": {"foo": 1}}})
+    assert run(["train", "cnn", "--config", keyed, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "linear"], ["--epochs", "7"], ["--criterion", "entropy"],
+])
+def test_flag_of_another_method_exits_2(flags, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "logreg", *flags, "--out", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_method_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit):
+        run(["train", "svm", "--help"])
+    usage = capsys.readouterr().out
+    assert "--kernel" in usage and "--pcs" in usage
+    for other in ("--epochs", "--criterion", "--reg-strength", "--trials"):
+        assert other not in usage
+
+
+def test_train_cnn_matches_run_pipeline(tmp_path):
+    # `train cnn` and run_pipeline build the CNN from one set of defaults;
+    # 48 train windows, so a batch of 30 and one of 50 train differently
+    data = tmp_path / "data"
+    assert run(["generate", "--n-per-class", "2", "--len", "4501",
+                "--out", data]) == 0
+    out = tmp_path / "cli"
+    assert run(["train", "cnn", "--data", data, "--epochs", "1",
+                "--out", out]) == 0
+    cfg = PipelineConfig(method="cnn", method_params={"epochs": 1})
+    run_pipeline(cfg, tmp_path / "lib", dataset.load_series_set(data))
+    for name in ("cnn_model.bin", "cnn_model.json", "cnn_channels.json",
+                 "config.json"):
+        assert (out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_evaluate_rejects_cnn_model_on_features(data_dir, tmp_path):
+    out = tmp_path / "cnn_feat"
+    assert run(["train", "cnn", "--data", data_dir, "--epochs", "1",
+                "--out", out]) == 0
+    features = tmp_path / "f.csv"
+    run(["transform", "--in", data_dir, "--out", features])
+    assert run(["evaluate", "--model", out / "cnn_model.json",
+                "--features", features]) == 3
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in commands if line.startswith("wellmon ")]
+
+
+def test_readme_usage_parses():
+    commands = _readme_commands()
+    assert len(commands) >= 12
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

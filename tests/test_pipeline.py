@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wellmon.cnn import CnnClassifier
 from wellmon.dataset import generate, preset_config, window
 from wellmon.pca import PCA
 from wellmon.pipeline import (
@@ -63,6 +64,50 @@ def test_config_validation():
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown config"):
         PipelineConfig.from_json('{"method": "svm", "kernel": "rbf"}')
+
+
+def test_config_rejects_unknown_method_params():
+    # flat params belong to cfg.method; keyed params to the method they name
+    with pytest.raises(ConfigError, match=r"unknown logreg parameter\(s\) \['foo'\]"):
+        tiny_config(method_params={"foo": 1}).validate()
+    with pytest.raises(ConfigError, match=r"unknown logreg parameter\(s\) \['epochs'\]"):
+        tiny_config(method_params={"epochs": 1}).validate()
+    with pytest.raises(ConfigError, match=r"unknown svm parameter\(s\) \['epochs'\]"):
+        tiny_config(method_params={"cnn": {"epochs": 1}, "svm": {"epochs": 1}}).validate()
+    with pytest.raises(ConfigError, match="method_params of cnn"):
+        tiny_config(method_params={"cnn": 5}).validate()
+    tiny_config(method="cnn", method_params={"epochs": 1, "seed": 3}).validate()
+    tiny_config(method_params={"cnn": {"epochs": 1}, "svm": {"C": 2.0}}).validate()
+
+
+def test_params_for_flat_and_keyed():
+    flat = tiny_config(method="svm", method_params={"C": 2.0})
+    assert flat.params_for("svm") == {"C": 2.0}
+    assert flat.params_for("logreg") == {}
+    keyed = tiny_config(method_params={"cnn": {"epochs": 1}})
+    assert keyed.params_for("cnn") == {"epochs": 1}
+    assert keyed.params_for("logreg") == {}
+
+
+@pytest.mark.parametrize("run", [run_pipeline, run_compare])
+def test_unknown_method_param_fails_before_data(run, tmp_path, monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+
+    monkeypatch.setattr("wellmon.dataset.generate", no_data)
+    with pytest.raises(ConfigError, match="foo"):
+        run(tiny_config(method_params={"foo": 1}), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cnn_defaults_live_in_the_constructor():
+    # build_pipeline adds only the config's seed; a seed in method_params wins
+    estimator = build_pipeline(tiny_config(method="cnn", seed=4)).estimator
+    assert estimator.get_params() == CnnClassifier(seed=4).get_params()
+    assert (estimator.epochs, estimator.learning_rate, estimator.batch_size) == (
+        30, 5e-3, 50)
+    keyed = tiny_config(seed=4, method_params={"cnn": {"seed": 9}})
+    assert build_pipeline(keyed, "cnn").estimator.seed == 9
 
 
 def test_config_hash_stable():
