@@ -16,7 +16,9 @@ import numpy as np
 
 from . import dataset as dataset_mod
 from .baseline import MonitorConfig, monitor, read_lines_csv, write_lines_csv
-from .cnn import ACTIVATIONS, SearchSpace, TrainingDivergedError, random_search
+from .cnn import (
+    ACTIVATIONS, SEARCHED_PARAMS, SearchSpace, TrainingDivergedError, random_search,
+)
 from .dtree import PRE_PRUNING_GRIDS, grid_search, post_pruning_alpha
 from .evaluation import format_table, reports_to_csv, score_predictions
 from .pca import PCA
@@ -93,7 +95,7 @@ def _add_data_options(parser):
 def _add_method_parsers(train):
     """One parser per method, each with only that method's flags."""
     def method_parser(name):
-        p = train.add_parser(name, argument_default=SUPPRESS,
+        p = train.add_parser(name, argument_default=SUPPRESS, allow_abbrev=False,
                              help=f"train {name} end to end")
         _add_data_options(p)
         p.set_defaults(handler=cmd_train)
@@ -131,30 +133,31 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="wellmon",
         description="dispersion-feature time-series classification toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", argument_default=SUPPRESS,
+    p = sub.add_parser("generate", argument_default=SUPPRESS, allow_abbrev=False,
                        help="write a synthetic labelled series set")
     _add_series_options(p, n_required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 
-    p = sub.add_parser("transform", argument_default=SUPPRESS,
+    p = sub.add_parser("transform", argument_default=SUPPRESS, allow_abbrev=False,
                        help="window series and extract features")
     p.add_argument("--in", dest="in_dir", required=True)
     _add_window_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_transform)
 
-    p = sub.add_parser("pca", help="fit PCA on a feature CSV")
+    p = sub.add_parser("pca", allow_abbrev=False, help="fit PCA on a feature CSV")
     p.add_argument("--in", dest="in_csv", required=True)
     p.add_argument("--pcs", type=int, required=True)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--apply", help="also write the projected features here")
     p.set_defaults(handler=cmd_pca)
 
-    p = sub.add_parser("baseline", argument_default=SUPPRESS,
+    p = sub.add_parser("baseline", argument_default=SUPPRESS, allow_abbrev=False,
                        help="sliding-window regression monitor")
     p.add_argument("--x", dest="x_channel", required=True,
                    help="x channel, e.g. accx_FJ")
@@ -167,10 +170,10 @@ def build_parser():
     p.add_argument("--out", required=True, help="lines CSV path")
     p.set_defaults(handler=cmd_baseline)
 
-    p = sub.add_parser("train", help="train one method end to end")
+    p = sub.add_parser("train", allow_abbrev=False, help="train one method end to end")
     _add_method_parsers(p.add_subparsers(dest="method", required=True))
 
-    p = sub.add_parser("evaluate", help="score a saved model")
+    p = sub.add_parser("evaluate", allow_abbrev=False, help="score a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", help="projected feature CSV (classical models)")
     p.add_argument("--data", help="series directory (cnn models)")
@@ -178,12 +181,13 @@ def build_parser():
     p.add_argument("--out", help="report CSV path")
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("compare", argument_default=SUPPRESS,
+    p = sub.add_parser("compare", argument_default=SUPPRESS, allow_abbrev=False,
                        help="run all four methods on one split")
     _add_data_options(p)
     p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("emit-plots", help="CSV bundles for external plotting")
+    p = sub.add_parser("emit-plots", allow_abbrev=False,
+                       help="CSV bundles for external plotting")
     p.add_argument("--features", help="feature CSV for pairwise scatter")
     p.add_argument("--pca-model", help="PCA model JSON for explained ratios")
     p.add_argument("--lines", help="baseline lines CSV for the line cloud")
@@ -282,8 +286,27 @@ def _grid_key(cfg):
     return cfg.transform
 
 
+def _refuse_tuned(args, cfg):
+    """Refuse, before any data is made, a setting given by a flag or
+    --config that --prune pre or --trials would replace."""
+    if cfg.method == "dtree" and args.prune == "pre":
+        criterion = build_pipeline(cfg).estimator.criterion
+        tuning, keys = "--prune pre", PRE_PRUNING_GRIDS[(_grid_key(cfg), criterion)]
+    elif cfg.method == "cnn" and args.trials > 0:
+        tuning, keys = "--trials", SEARCHED_PARAMS
+    else:
+        return
+    given = [key for key in keys if key in cfg.method_params]
+    if given:
+        raise ConfigError(
+            f"{tuning} tunes {', '.join(given)}, which is also set by a flag "
+            "or --config; drop the setting or the tuning"
+        )
+
+
 def cmd_train(args):
     cfg = _pipeline_config(args)
+    _refuse_tuned(args, cfg)
     series_set = _load_series_dir(args.data) if args.data else None
     out_dir = Path(args.out)
     # tuning sees the split and preprocessing that the final fit reports on

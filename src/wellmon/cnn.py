@@ -524,6 +524,10 @@ class CnnClassifier(BaseEstimator):
 # random hyperparameter search
 # ---------------------------------------------------------------------------
 
+# the CnnClassifier parameters that sample_trial draws
+SEARCHED_PARAMS = ("activation", "learning_rate", "weight_decay", "batch_size")
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Sampling distributions for the training hyperparameters."""
@@ -588,9 +592,6 @@ def random_search(space, X_train, y_train, X_test, y_test, seed=0,
     if not finished:
         raise RuntimeError(f"all {space.n_trials} trials diverged: {trials}")
     best = min(finished, key=lambda r: r["test_mse"])
-    best_params = {
-        k: best[k] for k in ("activation", "learning_rate", "weight_decay",
-                             "batch_size", "seed")
-    }
+    best_params = {k: best[k] for k in (*SEARCHED_PARAMS, "seed")}
     best_params["epochs"] = epochs
     return best_params, trials

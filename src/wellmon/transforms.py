@@ -117,7 +117,7 @@ def _covariances(stack):
     if n_w < 2:
         raise ValueError(f"segment needs >= 2 samples, got {n_w}")
     centered = stack - stack.mean(axis=1, keepdims=True)
-    sigmas = np.einsum("bti,btj->bij", centered, centered) / (n_w - 1)
+    sigmas = (centered.transpose(0, 2, 1) @ centered) / (n_w - 1)
     return 0.5 * (sigmas + sigmas.transpose(0, 2, 1))
 
 

@@ -389,6 +389,57 @@ def test_flag_of_another_method_exits_2(flags, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_flag_names_are_exact(tmp_path, capsys):
+    # a prefix of a flag is not the flag, so a renamed flag cannot pass
+    # test_readme_usage_parses by prefix
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "dtree", "--ccp", "0.01", "--out", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ccp" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(
+        ["train", "dtree", "--ccp-alpha", "0.01", "--out", "o"])
+    assert args.ccp_alpha == 0.01
+
+
+def _refuse_data_loading(monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr(dataset, "load_series_set", no_data)
+
+
+@pytest.mark.parametrize("given, key", [
+    (["--max-depth", "9"], "max_depth"),
+    ({"method_params": {"min_samples_leaf": 2}}, "min_samples_leaf"),
+])
+def test_pre_prune_refuses_a_given_grid_setting(given, key, data_dir, tmp_path,
+                                                monkeypatch, capsys):
+    _refuse_data_loading(monkeypatch)
+    if isinstance(given, dict):
+        given = ["--config", _config_file(tmp_path, given)]
+    out = tmp_path / "o"
+    assert run(["train", "dtree", "--data", data_dir, "--prune", "pre",
+                "--k-folds", "2", *given, "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given, key", [
+    (["--batch-size", "10"], "batch_size"),
+    ({"method_params": {"learning_rate": 1e-3}}, "learning_rate"),
+])
+def test_trials_refuse_a_given_searched_setting(given, key, data_dir, tmp_path,
+                                                monkeypatch, capsys):
+    _refuse_data_loading(monkeypatch)
+    if isinstance(given, dict):
+        given = ["--config", _config_file(tmp_path, given)]
+    out = tmp_path / "o"
+    assert run(["train", "cnn", "--data", data_dir, "--trials", "1",
+                "--epochs", "1", *given, "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_method_help_lists_only_its_flags(capsys):
     with pytest.raises(SystemExit):
         run(["train", "svm", "--help"])

@@ -9,12 +9,9 @@ import pytest
 import wellmon
 from wellmon import dataset, pca, pipeline, transforms
 from wellmon.linalg import (
-    JacobiConvergenceError,
     eigh_descending,
     jacobi_eigh,
     jacobi_eigh_batch,
-    offdiag_norm,
-    round_robin_schedule,
     sym_sqrt,
     sym_sqrt_batch,
 )
@@ -42,12 +39,6 @@ def test_eigenpairs_match_numpy(rng):
             assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-10
             ref = np.sort(np.linalg.eigvalsh(A))[::-1]
             assert np.max(np.abs(w - ref)) < 1e-10
-
-
-def test_offdiag_norm_no_cancellation():
-    A = np.diag([1e8, 1e8, 1e8]).astype(float)
-    A[0, 1] = A[1, 0] = 1e-6
-    assert offdiag_norm(A) == pytest.approx(np.sqrt(2) * 1e-6)
 
 
 def test_rejects_asymmetric():
@@ -94,30 +85,22 @@ def test_batch_rejects_indefinite(rng):
         sym_sqrt_batch(mats)
 
 
-def test_schedule_covers_every_pair_once():
-    for n in range(2, 23):
-        rounds = round_robin_schedule(n)
-        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
-        seen = []
-        for p, q in rounds:
-            assert len(p) == n // 2
-            assert np.all(p < q)
-            # the pairs of a round are disjoint, so they rotate independently
-            assert len(set(p) | set(q)) == 2 * len(p)
-            seen.extend(zip(p.tolist(), q.tolist()))
-        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
-
-
 _ROOTS_AND_EIGENPAIRS = """
 import sys
 import numpy as np
+from types import SimpleNamespace
 from wellmon.linalg import eigh_descending, sym_sqrt_batch
+from wellmon.transforms import _cov_feature_rows
 rng = np.random.default_rng(3)
 X = rng.standard_normal((80, 6, 6))
 sys.stdout.buffer.write(sym_sqrt_batch(X.transpose(0, 2, 1) @ X).tobytes())
 Y = rng.standard_normal((60, 21))
 for part in eigh_descending(Y.T @ Y):
     sys.stdout.buffer.write(part.tobytes())
+windows = rng.standard_normal((300, 300, 6))
+sys.stdout.buffer.write(
+    _cov_feature_rows([SimpleNamespace(samples=w) for w in windows]).tobytes()
+)
 """
 
 
@@ -136,14 +119,6 @@ def test_solver_independent_of_blas_threads():
         outputs.append(result.stdout)
     assert len(outputs[0]) > 0
     assert outputs[0] == outputs[1]
-
-
-def test_sweep_budget_exhausted(rng):
-    A = random_psd(rng, 6)
-    with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
-        jacobi_eigh(A, max_sweeps=1)
-    with pytest.raises(JacobiConvergenceError):
-        jacobi_eigh_batch(np.stack([np.eye(6), A]), max_sweeps=1)
 
 
 def test_one_by_one_and_zero_matrices():

@@ -258,6 +258,18 @@ def test_cov_path_groups_segments_by_shape(rng, monkeypatch):
         transform_segments([long[0], make_segment(np.ones((30, 2)))], "cov")
 
 
+@pytest.mark.parametrize("count", [1, 288])
+def test_batched_covariances_match_np_cov(rng, count):
+    # the batched product is the per-window np.cov, and each row has the
+    # bits of its one-window call, so batched and streamed features agree
+    stack = rng.standard_normal((count, 300, 6)) * rng.uniform(0.1, 10.0, 6)
+    sigmas = transforms._covariances(stack)
+    for i, window in enumerate(stack):
+        assert np.max(np.abs(sigmas[i] - np.cov(window, rowvar=False))) < 1e-12
+        one = transforms._covariances(window[None])[0]
+        assert sigmas[i].tobytes() == one.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # standardize
 # ---------------------------------------------------------------------------
