@@ -24,7 +24,7 @@ from .evaluation import ConfusionMatrix, MethodReport, accuracy, confusion
 from .logreg import LogisticRegression
 from .pca import PCA
 from .pipeline import PipelineConfig, run_compare, run_pipeline
-from .svm import SvmClassifier, tune_C
+from .svm import SvmClassifier
 from .transforms import (
     CovMatrix,
     FeatureMatrix,
@@ -76,6 +76,5 @@ __all__ = [
     "standardize",
     "std_features",
     "transform_segments",
-    "tune_C",
     "window",
 ]

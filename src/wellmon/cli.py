@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as dataset_mod
 from .baseline import MonitorConfig, monitor, read_lines_csv, write_lines_csv
 from .cnn import (
@@ -293,7 +291,8 @@ def _refuse_tuned(args, cfg):
         criterion = build_pipeline(cfg).estimator.criterion
         tuning, keys = "--prune pre", PRE_PRUNING_GRIDS[(_grid_key(cfg), criterion)]
     elif cfg.method == "cnn" and args.trials > 0:
-        tuning, keys = "--trials", SEARCHED_PARAMS
+        # random_search returns the best trial's seed with its settings
+        tuning, keys = "--trials", (*SEARCHED_PARAMS, "seed")
     else:
         return
     given = [key for key in keys if key in cfg.method_params]
@@ -331,7 +330,7 @@ def cmd_train(args):
         # trials are scored on a stratified validation fold of train; the
         # test windows stay unseen until the final report
         fit_idx, val_idx = stratified_kfold_indices(
-            _labels(train), args.k_folds, cfg.seed
+            dataset_mod.labels_of(train), args.k_folds, cfg.seed
         )[0]
         fit_part = [train[k] for k in fit_idx]
         val_part = [train[k] for k in val_idx]
@@ -339,7 +338,8 @@ def cmd_train(args):
         out_dir.mkdir(parents=True, exist_ok=True)
         tuned, _ = random_search(
             SearchSpace(n_trials=args.trials),
-            X_fit, _labels(fit_part), pipeline.project(val_part), _labels(val_part),
+            X_fit, dataset_mod.labels_of(fit_part), pipeline.project(val_part),
+            dataset_mod.labels_of(val_part),
             seed=cfg.seed, epochs=estimator.epochs,
             log_path=out_dir / "trials.jsonl",
         )
@@ -348,10 +348,6 @@ def cmd_train(args):
     reports, _ = run_split(cfg, out_dir, train, test, channel_names)
     print(f"{reports[0].method}: accuracy {reports[0].accuracy:.4f}")
     return EXIT_OK
-
-
-def _labels(segments):
-    return np.array([int(s.label) for s in segments])
 
 
 def _load_cnn(model_dir, data_dir, window_seconds, stem="cnn"):
@@ -381,7 +377,7 @@ def cmd_evaluate(args):
                                        _pipeline_config(args).window_seconds,
                                        stem)
         pred = pipeline.predict(segments)
-        truth = _labels(segments)
+        truth = dataset_mod.labels_of(segments)
         report = score_predictions("cnn", pred, truth, config=str(model_path))
     else:
         raise ConfigError("evaluate needs --features or --data")

@@ -125,6 +125,11 @@ class Segment:
     label: Label
 
 
+def labels_of(segments):
+    """The segments' labels as one int64 vector."""
+    return np.array([int(s.label) for s in segments], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Parameters of the two-class AR(1) surrogate generator.
@@ -262,7 +267,7 @@ def split(segments, test_fraction, seed):
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
-    labels = np.array([int(s.label) for s in segments], dtype=np.int64)
+    labels = labels_of(segments)
     by_class = {c: np.flatnonzero(labels == c) for c in (0, 1)}
     for c, idx in by_class.items():
         if len(idx) == 0:

@@ -6,10 +6,10 @@ reduction are still taken when nothing better exists (needed to solve
 XOR-like structure), so an unrestricted fit reaches 100% train accuracy on
 consistent data. A node's split search sorts each feature once and scores
 all its thresholds as one array expression over the cumulative class
-counts (CART, Breiman et al. 1984), with the arithmetic of the scalar
-gini/entropy, so the grown tree is the same as a one-threshold-at-a-time
-scan would give. Post-pruning is weakest-link cost-complexity pruning with
-R = total weighted misclassification rate.
+counts (CART, Breiman et al. 1984). gini and entropy of one node are the
+one-row case of those array expressions, so a node's impurity and its
+candidate children's share one arithmetic. Post-pruning is weakest-link
+cost-complexity pruning with R = total weighted misclassification rate.
 """
 
 import json
@@ -39,19 +39,36 @@ def _counts(counts):
     return counts
 
 
+def _gini_rows(zeros, ones, n_side):
+    """gini per row of class counts (zeros, ones) summing to n_side."""
+    p0 = zeros / n_side
+    p1 = ones / n_side
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def _entropy_rows(zeros, ones, n_side):
+    """entropy per row of class counts; a zero class adds an exact 0 term
+    (p * log2(1))."""
+    terms = []
+    for count in (zeros, ones):
+        p = count / n_side
+        terms.append(p * np.log2(np.where(p > 0, p, 1.0)))
+    return -(terms[0] + terms[1])
+
+
+_ROW_CRITERIA = {"gini": _gini_rows, "entropy": _entropy_rows}
+
+
 def gini(counts):
     """1 - sum(p^2); 0 for a pure node, 0.5 at a balanced binary node."""
     counts = _counts(counts)
-    p = counts / counts.sum()
-    return float(1.0 - np.sum(p * p))
+    return float(_gini_rows(counts[0], counts[1], counts.sum()))
 
 
 def entropy(counts):
     """-sum(p log2 p) over nonzero classes; 0 for a pure node."""
     counts = _counts(counts)
-    p = counts / counts.sum()
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+    return float(_entropy_rows(counts[0], counts[1], counts.sum()))
 
 
 _CRITERIA = {"gini": gini, "entropy": entropy}
@@ -172,34 +189,15 @@ def _route(node, x):
     return node
 
 
-def _gini_rows(zeros, ones, n_side):
-    """gini per candidate child, in the arithmetic of the scalar gini."""
-    p0 = zeros / n_side
-    p1 = ones / n_side
-    return 1.0 - (p0 * p0 + p1 * p1)
-
-
-def _entropy_rows(zeros, ones, n_side):
-    """entropy per candidate child, in the arithmetic of the scalar entropy:
-    a zero class adds an exact 0 term (p * log2(1)) instead of being dropped."""
-    terms = []
-    for count in (zeros, ones):
-        p = count / n_side
-        terms.append(p * np.log2(np.where(p > 0, p, 1.0)))
-    return -(terms[0] + terms[1])
-
-
-_ROW_CRITERIA = {"gini": _gini_rows, "entropy": _entropy_rows}
-
-
 def _best_split(X, y, idx, criterion, min_samples_leaf):
     """Best (feature, threshold) minimizing weighted child impurity.
 
     Candidates are midpoints between consecutive sorted unique values whose
     children both hold at least min_samples_leaf samples. Each feature
     scores all its candidates in one array pass over the cumulative class
-    counts, with the same elementwise arithmetic as gini/entropy, so the
-    weighted impurities are bit-identical to scoring them one at a time.
+    counts; gini/entropy of one node are the one-row case of the same
+    expressions, so the weighted impurities are bit-identical to scoring
+    them one at a time.
     Tie-break: lowest feature index, then lowest threshold; a candidate
     replaces the best so far only when it is below it by more than 1e-15.
     Only a strict record of a feature's running minimum can pass that test,

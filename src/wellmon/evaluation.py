@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import labels_of
 from .validation import as_label_vector, write_csv
 
 
@@ -77,13 +78,7 @@ def precision_recall_f1(cm: ConfusionMatrix) -> PrfScores:
 
 def accuracy(pred, truth) -> float:
     """Ratio of correctly predicted samples to the total number of samples."""
-    pred = as_label_vector(pred, "pred")
-    truth = as_label_vector(truth, "truth")
-    if pred.shape[0] != truth.shape[0]:
-        raise ValueError("pred and truth must have equal length")
-    if pred.shape[0] == 0:
-        raise ValueError("nothing to evaluate")
-    return float(np.mean(pred == truth))
+    return confusion(pred, truth).accuracy
 
 
 @dataclass(frozen=True)
@@ -116,25 +111,22 @@ def score_predictions(method, pred, truth, train_time_ms=0.0, test_time_ms=0.0,
     )
 
 
-def compare(pipelines, train_segments, test_segments, timing_reps=3):
+def compare(pipelines, train_segments, test_segments):
     """Fit and evaluate each pipeline on the same split.
 
-    Train time is a single wall-clock measurement around fit; test time is
-    the minimum of timing_reps predict calls (sub-ms timings are noise in a
-    single shot). Pipelines run sequentially so timings are uncontended.
+    Train and test time are each one wall-clock measurement, around fit and
+    around the one predict call on the test windows. Pipelines run
+    sequentially so timings are uncontended.
     """
-    truth = np.array([int(s.label) for s in test_segments], dtype=np.int64)
+    truth = labels_of(test_segments)
     reports = []
     for pipeline in pipelines:
         start = time.perf_counter()
         pipeline.fit(train_segments)
         train_ms = (time.perf_counter() - start) * 1e3
-        pred = None
-        test_ms = np.inf
-        for _ in range(max(1, timing_reps)):
-            start = time.perf_counter()
-            pred = pipeline.predict(test_segments)
-            test_ms = min(test_ms, (time.perf_counter() - start) * 1e3)
+        start = time.perf_counter()
+        pred = pipeline.predict(test_segments)
+        test_ms = (time.perf_counter() - start) * 1e3
         reports.append(
             score_predictions(
                 pipeline.name, pred, truth, train_ms, test_ms,

@@ -8,14 +8,13 @@ reproducible.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .linalg import eigh_descending
-from .transforms import CONSTANT_COLUMN_TOL, FeatureMatrix, _matrix_values
+from .transforms import FeatureMatrix, Standardizer, _matrix_values
 
 
 def _fix_signs(vectors):
@@ -48,13 +47,8 @@ class PCA(BaseEstimator):
             raise ValueError(
                 f"n_components must lie in [1, {d_in}], got {self.n_components}"
             )
-        self.mean_ = values.mean(axis=0)
-        std = values.std(axis=0)
-        constant = std <= CONSTANT_COLUMN_TOL
-        if np.any(constant):
-            warnings.warn("constant column(s) in PCA input: std set to 1")
-            std = np.where(constant, 1.0, std)
-        self.std_ = std
+        scaler = Standardizer().fit(X)
+        self.mean_, self.std_ = scaler.mean_, scaler.std_
         normalized = (values - self.mean_) / self.std_
         sigma = normalized.T @ normalized / n
         sigma = 0.5 * (sigma + sigma.T)

@@ -207,7 +207,7 @@ class CnnPipeline:
         return self._normalize(X)
 
     def fit(self, train_segments):
-        y = np.array([int(s.label) for s in train_segments], dtype=np.int64)
+        y = dataset_mod.labels_of(train_segments)
         self.estimator.fit(self.fit_project(train_segments), y)
         return self
 
@@ -255,7 +255,10 @@ def build_pipeline(cfg: PipelineConfig, method=None, channel_names=None):
     method = method or cfg.method
     params = cfg.params_for(method)
     if method == "cnn":
-        return CnnPipeline("cnn", CnnClassifier(**{"seed": cfg.seed, **params}))
+        defaults = {"seed": cfg.seed}
+        if channel_names is not None:
+            defaults["in_channels"] = len(channel_names)
+        return CnnPipeline("cnn", CnnClassifier(**{**defaults, **params}))
     return ClassicalPipeline(
         method, cfg.transform, cfg.pcs, ESTIMATORS[method](**params), channel_names
     )
@@ -414,7 +417,7 @@ def emit_cnn_embedding(pipeline: CnnPipeline, segments, path):
     if not segments:
         raise DataError("no segments to embed")
     embedding = pipeline.embed(segments)
-    labels = [int(s.label) for s in segments]
+    labels = dataset_mod.labels_of(segments)
     write_csv(
         Path(path),
         ["x1", "x2", "label"],

@@ -15,10 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .validation import (
-    as_query_rows, check_X_y, cv_accuracy, require_both_classes,
-    stratified_kfold_indices,
-)
+from .validation import as_query_rows, check_X_y, require_both_classes
 
 ALPHA_SNAP = 1e-8
 TAU = 1e-12  # curvature floor for a flat pair direction (LIBSVM's TAU)
@@ -108,22 +105,18 @@ class SvmClassifier(BaseEstimator):
         Work budget. One pass is ceil(n/2) pair updates, which touches every
         training index about once; a fit still unconverged after
         max_passes passes raises ConvergenceError.
-    seed : int
-        Ignored: the solver draws no random numbers. Accepted so saved
-        configs and callers that pass a seed keep working.
 
     After fit, n_iter_ holds the pair updates made and kkt_violation_ the
     largest KKT violation of the stored model; neither is saved.
     """
 
     def __init__(self, kernel="rbf", C=1.0, gamma="scale", tol=1e-3,
-                 max_passes=5000, seed=0):
+                 max_passes=5000):
         self.kernel = kernel
         self.C = C
         self.gamma = gamma
         self.tol = tol
         self.max_passes = max_passes
-        self.seed = seed
 
     # -- training ----------------------------------------------------------
 
@@ -300,24 +293,3 @@ class SvmClassifier(BaseEstimator):
         if "w" in payload:
             model.w_ = np.array(payload["w"], dtype=np.float64)
         return model
-
-
-def tune_C(X, y, kernel, c_grid, k_folds, gamma="scale", tol=1e-3, seed=0):
-    """Grid search over C by stratified k-fold CV accuracy.
-
-    Ties go to the smallest C. Returns (best_C, best_cv_accuracy).
-    """
-    X, y = check_X_y(X, y)
-    c_grid = sorted(c_grid)
-    if not c_grid:
-        raise ValueError("c_grid is empty")
-    folds = stratified_kfold_indices(y, k_folds, seed)
-    best = None
-    for C in c_grid:
-        score = cv_accuracy(
-            lambda: SvmClassifier(kernel=kernel, C=C, gamma=gamma, tol=tol, seed=seed),
-            X, y, folds,
-        )
-        if best is None or score > best[1]:
-            best = (C, score)
-    return best

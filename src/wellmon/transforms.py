@@ -5,6 +5,10 @@ row-major upper triangle of the covariance-matrix square root
 (m(m+1)/2 features). In-window statistics use the sample divisor n-1;
 segments are mean-centered inside the covariance regardless of any upstream
 normalization, since the features measure within-window dispersion.
+
+Both maps run on stacks of same-shape windows; a one-window call
+(std_features, cov_features) is a batch of one, so its row has the bits
+of the same window's row in a batch.
 """
 
 import csv
@@ -16,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
+from .dataset import labels_of
 from .linalg import sym_sqrt_batch
 from .validation import as_float_matrix, as_label_vector, check_symmetric, write_csv
 
@@ -56,10 +61,6 @@ class FeatureMatrix:
         names = self.feature_names if feature_names is None else feature_names
         return FeatureMatrix(values, names, self.labels)
 
-    def select(self, row_indices):
-        idx = np.asarray(row_indices)
-        return FeatureMatrix(self.values[idx], self.feature_names, self.labels[idx])
-
     def to_csv(self, path):
         """Header = feature names plus trailing `label` column."""
         write_csv(
@@ -97,17 +98,9 @@ class CovMatrix:
         return self.sigma.shape[0]
 
 
-def _segment_samples(segment):
-    samples = np.asarray(segment.samples, dtype=np.float64)
-    if samples.shape[0] < 2:
-        raise ValueError(f"segment needs >= 2 samples, got {samples.shape[0]}")
-    return samples
-
-
 def std_features(segment):
     """Per-channel sample standard deviation (divisor n-1)."""
-    samples = _segment_samples(segment)
-    return np.std(samples, axis=0, ddof=1)
+    return _feature_rows([segment], "std")[0]
 
 
 def _covariances(stack):
@@ -123,7 +116,7 @@ def _covariances(stack):
 
 def cov_matrix(segment) -> CovMatrix:
     """Sample covariance (divisor n-1) of the mean-centered channels."""
-    samples = _segment_samples(segment)
+    samples = np.asarray(segment.samples, dtype=np.float64)
     return CovMatrix(_covariances(samples[None])[0])
 
 
@@ -167,24 +160,29 @@ def cov_feature_names(channel_names):
 
 def cov_features(segment):
     """Upper triangle (row-major, diagonal included) of the covariance root."""
-    return _cov_feature_rows([segment])[0]
+    return _feature_rows([segment], "cov")[0]
 
 
-def _cov_feature_rows(segments):
-    """cov_features of every segment, one sym_sqrt_batch call per distinct
-    segment shape."""
+def _feature_rows(segments, kind):
+    """std_features or cov_features of every segment, computed on one stack
+    per distinct segment shape (one sym_sqrt_batch call each for cov)."""
     samples = [np.asarray(s.samples, dtype=np.float64) for s in segments]
     m = samples[0].shape[-1]
     groups = {}
     for i, x in enumerate(samples):
         if x.ndim != 2 or x.shape[1] != m:
             raise ValueError(f"segment {i} has shape {x.shape}; expected (n, {m})")
+        if x.shape[0] < 2:
+            raise ValueError(f"segment needs >= 2 samples, got {x.shape[0]}")
         groups.setdefault(x.shape, []).append(i)
-    rows, cols = np.triu_indices(m)
-    values = np.empty((len(samples), len(rows)))
+    rows, cols = np.array(upper_triangle_indices(m)).reshape(-1, 2).T
+    values = np.empty((len(samples), m if kind == "std" else len(rows)))
     for idx in groups.values():
-        roots = sym_sqrt_batch(_covariances(np.stack([samples[i] for i in idx])))
-        values[idx] = roots[:, rows, cols]
+        stack = np.stack([samples[i] for i in idx])
+        if kind == "std":
+            values[idx] = np.std(stack, axis=1, ddof=1)
+        else:
+            values[idx] = sym_sqrt_batch(_covariances(stack))[:, rows, cols]
     return values
 
 
@@ -200,15 +198,12 @@ def transform_segments(segments, kind, channel_names=None):
     if len(channel_names) != m:
         raise ValueError(f"{len(channel_names)} channel names for {m} channels")
     if kind == "std":
-        values = np.array([std_features(s) for s in segments])
         names = channel_names
     elif kind == "cov":
-        values = _cov_feature_rows(segments)
         names = cov_feature_names(channel_names)
     else:
         raise ValueError(f"unknown transform kind {kind!r}; expected 'std' or 'cov'")
-    labels = np.array([int(s.label) for s in segments], dtype=np.int64)
-    return FeatureMatrix(values, names, labels)
+    return FeatureMatrix(_feature_rows(segments, kind), names, labels_of(segments))
 
 
 class Standardizer(BaseEstimator):

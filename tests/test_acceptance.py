@@ -177,7 +177,7 @@ def test_criterion_5_svm_kkt_and_oracle():
         if len(np.unique(y)) < 2:
             continue
         kernel = "rbf" if trial % 2 == 0 else "linear"
-        model = SvmClassifier(kernel=kernel, C=1.0, seed=trial).fit(X, y)
+        model = SvmClassifier(kernel=kernel, C=1.0).fit(X, y)
         assert float(np.max(model.training_kkt_violations(X, y))) < 1e-3
         fitted += 1
     assert fitted >= 4
@@ -276,7 +276,7 @@ def test_criterion_7_end_to_end_trends():
         train, test, names = prepare_segments(cfg)
         splits[noise] = (train, test, names)
         pipelines = [build_pipeline(cfg, m, channel_names=names) for m in METHODS]
-        reports = compare(pipelines, train, test, timing_reps=1)
+        reports = compare(pipelines, train, test)
         accuracies[noise] = {r.method: r.accuracy for r in reports}
         fitted[noise] = dict(zip(METHODS, pipelines))
     train1, test1, names1 = splits[1]

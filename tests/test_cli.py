@@ -8,7 +8,7 @@ import pytest
 
 from wellmon import cli, dataset
 from wellmon.cli import main
-from wellmon.cnn import random_search
+from wellmon.cnn import CnnClassifier, random_search
 from wellmon.dtree import PRE_PRUNING_GRIDS, grid_search
 from wellmon.pipeline import (
     PipelineConfig, build_pipeline, prepare_segments, run_pipeline,
@@ -250,6 +250,14 @@ def test_compare_generates_when_no_data(tmp_path):
     assert (out / "report.csv").exists()
 
 
+def test_compare_cnn_reads_the_given_channels(data_dir, tmp_path):
+    out = tmp_path / "cmp_channels"
+    config = _config_file(tmp_path, {"method_params": {"cnn": {"epochs": 1}}})
+    assert run(["compare", "--data", data_dir, "--channels", "accx_FJ,bmx",
+                "--config", config, "--out", out]) == 0
+    assert CnnClassifier.load(out / "cnn_model").in_channels == 2
+
+
 def test_emit_plots(data_dir, tmp_path):
     features = tmp_path / "f.csv"
     run(["transform", "--in", data_dir, "--transform", "std", "--out", features])
@@ -427,6 +435,7 @@ def test_pre_prune_refuses_a_given_grid_setting(given, key, data_dir, tmp_path,
 @pytest.mark.parametrize("given, key", [
     (["--batch-size", "10"], "batch_size"),
     ({"method_params": {"learning_rate": 1e-3}}, "learning_rate"),
+    ({"method_params": {"seed": 3}}, "seed"),
 ])
 def test_trials_refuse_a_given_searched_setting(given, key, data_dir, tmp_path,
                                                 monkeypatch, capsys):

@@ -90,7 +90,7 @@ import sys
 import numpy as np
 from types import SimpleNamespace
 from wellmon.linalg import eigh_descending, sym_sqrt_batch
-from wellmon.transforms import _cov_feature_rows
+from wellmon.transforms import _feature_rows
 rng = np.random.default_rng(3)
 X = rng.standard_normal((80, 6, 6))
 sys.stdout.buffer.write(sym_sqrt_batch(X.transpose(0, 2, 1) @ X).tobytes())
@@ -99,7 +99,7 @@ for part in eigh_descending(Y.T @ Y):
     sys.stdout.buffer.write(part.tobytes())
 windows = rng.standard_normal((300, 300, 6))
 sys.stdout.buffer.write(
-    _cov_feature_rows([SimpleNamespace(samples=w) for w in windows]).tobytes()
+    _feature_rows([SimpleNamespace(samples=w) for w in windows], "cov").tobytes()
 )
 """
 

@@ -74,6 +74,8 @@ def test_config_rejects_unknown_method_params():
         tiny_config(method_params={"epochs": 1}).validate()
     with pytest.raises(ConfigError, match=r"unknown svm parameter\(s\) \['epochs'\]"):
         tiny_config(method_params={"cnn": {"epochs": 1}, "svm": {"epochs": 1}}).validate()
+    with pytest.raises(ConfigError, match=r"unknown svm parameter\(s\) \['seed'\]"):
+        tiny_config(method="svm", method_params={"seed": 3}).validate()
     with pytest.raises(ConfigError, match="method_params of cnn"):
         tiny_config(method_params={"cnn": 5}).validate()
     tiny_config(method="cnn", method_params={"epochs": 1, "seed": 3}).validate()

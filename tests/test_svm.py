@@ -11,7 +11,6 @@ from wellmon.svm import (
     kernel_eval,
     kernel_matrix,
     rbf_gamma_scale,
-    tune_C,
 )
 
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -131,7 +130,7 @@ def test_dual_feasibility_and_kkt_on_random_problems(rng):
         y = (X[:, 0] + 0.3 * rng.standard_normal(n) > 0).astype(int)
         if len(np.unique(y)) < 2:
             continue
-        model = SvmClassifier(kernel="rbf", C=1.0, seed=trial).fit(X, y)
+        model = SvmClassifier(kernel="rbf", C=1.0).fit(X, y)
         alpha_full = np.zeros(n)
         alpha_full[model.support_idx_] = model.alphas_
         y_pm = 2.0 * y - 1.0
@@ -258,17 +257,6 @@ def test_budget_counts_pair_updates():
         SvmClassifier(kernel="rbf", C=1.0, max_passes=passes - 1).fit(X, y)
 
 
-def test_fit_ignores_seed():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((120, 2))
-    y = (X[:, 0] + 0.8 * rng.standard_normal(120) > 0).astype(int)
-    a = SvmClassifier(kernel="rbf", C=1.0, seed=0).fit(X, y)
-    b = SvmClassifier(kernel="rbf", C=1.0, seed=7).fit(X, y)
-    assert a.alphas_.tobytes() == b.alphas_.tobytes()
-    assert a.support_idx_.tobytes() == b.support_idx_.tobytes()
-    assert a.bias_ == b.bias_
-
-
 def test_solver_diagnostics_are_not_saved(tmp_path, rng):
     X = np.concatenate([rng.standard_normal((30, 2)), rng.standard_normal((30, 2)) + 1.5])
     y = np.array([0] * 30 + [1] * 30)
@@ -307,41 +295,8 @@ def test_converges_on_hard_surrogate_fits(kernel, C, noise, seed, n_per_class,
 
 
 # ---------------------------------------------------------------------------
-# tuning and persistence
+# persistence
 # ---------------------------------------------------------------------------
-
-def test_tune_C_single_point(rng):
-    X = rng.standard_normal((20, 2))
-    y = np.array([0, 1] * 10)
-    best, _ = tune_C(X, y, "rbf", [0.7], k_folds=2, seed=0)
-    assert best == 0.7
-
-
-def test_tune_C_separable_prefers_smallest():
-    rng = np.random.default_rng(1)
-    X = np.concatenate([rng.standard_normal((20, 2)), rng.standard_normal((20, 2)) + 6.0])
-    y = np.array([0] * 20 + [1] * 20)
-    best, score = tune_C(X, y, "linear", [0.1, 1.0, 10.0], k_folds=4, seed=0)
-    assert score == 1.0
-    assert best == 0.1
-
-
-def test_tune_C_log_grid_on_noisy_surrogate():
-    from wellmon.dataset import generate, preset_config, split, window
-    from wellmon.transforms import Standardizer, transform_segments
-
-    cfg = preset_config("slack", n_series_per_class=3, seed=4, series_len=3001)
-    cfg = type(cfg)(**{**vars(cfg), "noise_level": 50})
-    segments = window(generate(cfg), 60.0)
-    train, _ = split(segments, 0.2, seed=4)
-    features = Standardizer().fit_transform(transform_segments(train, "cov"))
-    grid = [10.0**k for k in range(-2, 3)]
-    best, score = tune_C(features.values, features.labels, "rbf", grid, k_folds=3)
-    assert best in grid
-    position = "boundary" if best in (grid[0], grid[-1]) else "interior"
-    print(f"selected C={best} ({position}), cv accuracy {score:.3f}")
-    assert np.isfinite(best) and 0.0 <= score <= 1.0
-
 
 def test_json_roundtrip(tmp_path, rng):
     X = np.concatenate([rng.standard_normal((15, 2)), rng.standard_normal((15, 2)) + 2.0])

@@ -235,7 +235,7 @@ def test_transform_segments_std_and_cov(rng):
 
 def test_cov_path_groups_segments_by_shape(rng, monkeypatch):
     # one sym_sqrt_batch call per distinct segment shape, rows kept in order,
-    # and each row equal to the one-segment call
+    # and each row equal to the one-segment call; std rows likewise
     calls = []
     batch = transforms.sym_sqrt_batch
 
@@ -252,10 +252,15 @@ def test_cov_path_groups_segments_by_shape(rng, monkeypatch):
     for i, seg in enumerate(segments):
         assert values[i].tobytes() == cov_features(seg).tobytes()
     calls.clear()
+    std_values = transform_segments(segments, "std").values
+    assert calls == []
+    for i, seg in enumerate(segments):
+        assert std_values[i].tobytes() == std_features(seg).tobytes()
     cov_sqrt(np.eye(3))
     assert calls == [1]
-    with pytest.raises(ValueError, match="segment 1 has shape"):
-        transform_segments([long[0], make_segment(np.ones((30, 2)))], "cov")
+    for kind in ("cov", "std"):
+        with pytest.raises(ValueError, match="segment 1 has shape"):
+            transform_segments([long[0], make_segment(np.ones((30, 2)))], kind)
 
 
 @pytest.mark.parametrize("count", [1, 288])
@@ -268,6 +273,15 @@ def test_batched_covariances_match_np_cov(rng, count):
         assert np.max(np.abs(sigmas[i] - np.cov(window, rowvar=False))) < 1e-12
         one = transforms._covariances(window[None])[0]
         assert sigmas[i].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 288])
+def test_batched_std_rows_match_one_window_std(rng, count):
+    # each batched STD row has the bits of np.std over its one window
+    stack = rng.standard_normal((count, 300, 6)) * rng.uniform(0.1, 10.0, 6)
+    values = transform_segments([make_segment(w) for w in stack], "std").values
+    for i, window in enumerate(stack):
+        assert values[i].tobytes() == np.std(window, axis=0, ddof=1).tobytes()
 
 
 # ---------------------------------------------------------------------------
