@@ -1,8 +1,7 @@
 """Minimal estimator plumbing shared by all fit/transform/predict classes.
 
-Follows the scikit-learn parameter conventions (constructor args are
-hyperparameters, fitted state ends in an underscore) so the estimators
-compose with pipeline tooling that duck-types ``get_params``/``set_params``.
+Follows the scikit-learn parameter conventions: constructor args are
+hyperparameters, and fitted state ends in an underscore.
 """
 
 import inspect
@@ -13,7 +12,7 @@ class NotFittedError(RuntimeError):
 
 
 class BaseEstimator:
-    """Provides get_params/set_params/repr from the __init__ signature."""
+    """Provides get_params/repr from the __init__ signature."""
 
     @classmethod
     def _param_names(cls):
@@ -26,17 +25,6 @@ class BaseEstimator:
 
     def get_params(self):
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}"
-                )
-            setattr(self, name, value)
-        return self
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

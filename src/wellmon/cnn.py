@@ -368,8 +368,10 @@ class CnnClassifier(BaseEstimator):
         y = as_label_vector(y).astype(X.dtype)
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y disagree on the number of samples")
-        if self.learning_rate < 0 or self.weight_decay < 0 or self.epochs < 0:
-            raise ValueError("learning_rate, weight_decay, epochs must be >= 0")
+        if self.learning_rate < 0 or self.weight_decay < 0:
+            raise ValueError("learning_rate and weight_decay must be >= 0")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         self.init_params(X.shape[2])
         self.params_ = {k: p.astype(X.dtype) for k, p in self.params_.items()}
         m = {k: np.zeros_like(p) for k, p in self.params_.items()}

@@ -1,10 +1,11 @@
 """Principal component analysis: normalize, eigendecompose, project.
 
-The feature covariance uses the divisor 1/N on the normalized data, and the
-full eigenvalue spectrum is kept so explained ratios are available for any
-cut-off. Eigenvector sign is fixed so each component's largest-magnitude
-coordinate is positive, which removes the sign ambiguity and makes fits
-reproducible.
+fit and transform normalize the columns through the one `Standardizer` that
+fit keeps as `scaler_`. The feature covariance uses the divisor 1/N on the
+normalized data, and the full eigenvalue spectrum is kept so explained
+ratios are available for any cut-off. Eigenvector sign is fixed so each
+component's largest-magnitude coordinate is positive, which removes the
+sign ambiguity and makes fits reproducible.
 """
 
 import json
@@ -39,7 +40,7 @@ class PCA(BaseEstimator):
         self.n_components = n_components
 
     def fit(self, X):
-        values, names = _matrix_values(X)
+        values, _ = _matrix_values(X)
         n, d_in = values.shape
         if n < 2:
             raise ValueError("PCA needs at least 2 rows")
@@ -47,33 +48,25 @@ class PCA(BaseEstimator):
             raise ValueError(
                 f"n_components must lie in [1, {d_in}], got {self.n_components}"
             )
-        scaler = Standardizer().fit(X)
-        self.mean_, self.std_ = scaler.mean_, scaler.std_
-        normalized = (values - self.mean_) / self.std_
+        self.scaler_ = Standardizer().fit(X)
+        self.mean_, self.std_ = self.scaler_.mean_, self.scaler_.std_
+        normalized = self.scaler_.transform(values)
         sigma = normalized.T @ normalized / n
         sigma = 0.5 * (sigma + sigma.T)
         eigenvalues, vectors = eigh_descending(sigma)
         vectors = _fix_signs(vectors)
         self.eigenvalues_ = eigenvalues
         self.components_ = vectors[:, : self.n_components]
-        self.n_features_in_ = d_in
         return self
 
     def transform(self, X):
         check_is_fitted(self, "components_")
         values, _ = _matrix_values(X)
-        if values.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {values.shape[1]}"
-            )
-        projected = ((values - self.mean_) / self.std_) @ self.components_
+        projected = self.scaler_.transform(values) @ self.components_
         if isinstance(X, FeatureMatrix):
             names = tuple(f"PC{i + 1}" for i in range(self.n_components))
             return FeatureMatrix(projected, names, X.labels)
         return projected
-
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
 
     def explained_variance_ratio(self):
         """eigenvalues / sum(eigenvalues) over the full spectrum."""
@@ -100,9 +93,9 @@ class PCA(BaseEstimator):
     def load(cls, path):
         payload = json.loads(Path(path).read_text())
         model = cls(n_components=payload["d"])
-        model.mean_ = np.array(payload["mean"], dtype=np.float64)
-        model.std_ = np.array(payload["std"], dtype=np.float64)
+        # the PCA file holds its scaler's mean and std under the same keys
+        model.scaler_ = Standardizer.load(path)
+        model.mean_, model.std_ = model.scaler_.mean_, model.scaler_.std_
         model.eigenvalues_ = np.array(payload["eigenvalues"], dtype=np.float64)
         model.components_ = np.array(payload["components"], dtype=np.float64)
-        model.n_features_in_ = model.mean_.shape[0]
         return model

@@ -2,8 +2,11 @@
 
 Stage order: window -> transform -> standardize -> PCA -> classifier for
 the classical methods; the CNN consumes per-channel standardized raw
-windows. All intermediates (features, models, reports) are persisted under
-the output directory, and every stage is deterministic given the seeds.
+windows. `transforms.Standardizer` is the one normalizer of all four: a
+classical pipeline with PCA standardizes through PCA's own scaler, so each
+window is normalized once. All intermediates (features, models, reports)
+are persisted under the output directory, and every stage is deterministic
+given the seeds.
 """
 
 import hashlib
@@ -75,6 +78,16 @@ class PipelineConfig:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie strictly between 0 and 1")
+        if self.n_series_per_class < 1:
+            raise ConfigError(
+                f"n_series_per_class must be >= 1, got {self.n_series_per_class}"
+            )
+        if self.series_len < 2:
+            raise ConfigError(f"series_len must be >= 2, got {self.series_len}")
+        if not self.window_seconds > 0:
+            raise ConfigError(f"window_seconds must be > 0, got {self.window_seconds}")
+        if self.channels is not None and len(set(self.channels)) != len(self.channels):
+            raise ConfigError(f"channels repeat a name: {list(self.channels)}")
         m = 6 if self.channels is None else len(self.channels)
         feature_count = m if self.transform == "std" else m * (m + 1) // 2
         if self.pcs is not None and not 1 <= self.pcs <= feature_count:
@@ -149,26 +162,27 @@ class ClassicalPipeline:
         return transform_segments(segments, self.transform, self.channel_names)
 
     def fit_project(self, train_segments) -> FeatureMatrix:
-        """Fit the scaler and PCA on the training windows; return the
-        estimator's input for those windows."""
+        """Fit the scaler (PCA's own, with PCA) on the training windows;
+        return the estimator's input for those windows."""
         features = self._features(train_segments)
-        self.scaler_ = Standardizer().fit(features)
-        scaled = self.scaler_.transform(features)
-        if self.pcs is not None:
-            self.pca_ = PCA(self.pcs).fit(scaled)
-            scaled = self.pca_.transform(scaled)
-        else:
+        if self.pcs is None:
             self.pca_ = None
-        return scaled
+            self.scaler_ = Standardizer().fit(features)
+        else:
+            self.pca_ = PCA(self.pcs).fit(features)
+            self.scaler_ = self.pca_.scaler_
+        return self._projector().transform(features)
 
     def fit(self, train_segments):
         features = self.fit_project(train_segments)
         self.estimator.fit(features.values, features.labels)
         return self
 
+    def _projector(self):
+        return self.scaler_ if self.pca_ is None else self.pca_
+
     def project(self, segments) -> FeatureMatrix:
-        scaled = self.scaler_.transform(self._features(segments))
-        return self.pca_.transform(scaled) if self.pca_ is not None else scaled
+        return self._projector().transform(self._features(segments))
 
     def predict(self, segments):
         return self.estimator.predict(self.project(segments).values)
@@ -198,12 +212,11 @@ class CnnPipeline:
         return np.stack([np.asarray(s.samples).T for s in segments])
 
     def fit_project(self, train_segments):
-        """Fit the channel mean and std on the training windows; return the
-        network's (N, m, n_w) input for those windows."""
+        """Fit the channel standardizer on the training windows' samples;
+        return the network's (N, m, n_w) input for those windows."""
         X = self._to_array(train_segments)
-        self.channel_mean_ = X.mean(axis=(0, 2))
-        std = X.std(axis=(0, 2))
-        self.channel_std_ = np.where(std <= 1e-12, 1.0, std)
+        samples = X.transpose(0, 2, 1).reshape(-1, X.shape[1])
+        self.scaler_ = Standardizer().fit(samples)
         return self._normalize(X)
 
     def fit(self, train_segments):
@@ -212,7 +225,9 @@ class CnnPipeline:
         return self
 
     def _normalize(self, X):
-        return (X - self.channel_mean_[None, :, None]) / self.channel_std_[None, :, None]
+        # the scaler's column statistics, applied over the channel axis
+        mean, std = self.scaler_.mean_[None, :, None], self.scaler_.std_[None, :, None]
+        return (X - mean) / std
 
     def project(self, segments):
         return self._normalize(self._to_array(segments))
@@ -233,21 +248,13 @@ class CnnPipeline:
     def save(self, out_dir, stem):
         out_dir = Path(out_dir)
         self.estimator.save(out_dir / f"{stem}_model")
-        channels = {
-            "mean": self.channel_mean_.tolist(),
-            "std": self.channel_std_.tolist(),
-        }
-        (out_dir / f"{stem}_channels.json").write_text(
-            json.dumps(channels, indent=2) + "\n"
-        )
+        self.scaler_.save(out_dir / f"{stem}_channels.json")
 
     @classmethod
     def load(cls, out_dir, stem):
         out_dir = Path(out_dir)
         pipeline = cls("cnn", CnnClassifier.load(out_dir / f"{stem}_model"))
-        channels = json.loads((out_dir / f"{stem}_channels.json").read_text())
-        pipeline.channel_mean_ = np.array(channels["mean"], dtype=np.float64)
-        pipeline.channel_std_ = np.array(channels["std"], dtype=np.float64)
+        pipeline.scaler_ = Standardizer.load(out_dir / f"{stem}_channels.json")
         return pipeline
 
 

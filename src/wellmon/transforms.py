@@ -244,9 +244,6 @@ class Standardizer(BaseEstimator):
             return X.with_values(out)
         return out
 
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
-
     def save(self, path):
         check_is_fitted(self, "mean_")
         payload = {

@@ -449,6 +449,31 @@ def test_trials_refuse_a_given_searched_setting(given, key, data_dir, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tuning", [[], ["--trials", "1"]])
+def test_zero_epochs_is_a_data_error(tuning, data_dir, tmp_path, capsys):
+    assert run(["train", "cnn", "--data", data_dir, "--epochs", "0", *tuning,
+                "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "epochs must be >= 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--n-per-class", "0"], "n_series_per_class"),
+    (["--len", "1"], "series_len"),
+    (["--window-seconds", "0"], "window_seconds"),
+    (["--channels", "bmx,accx_FJ,bmx"], "channels"),
+])
+def test_bad_data_settings_are_config_errors(flags, field, tmp_path, monkeypatch,
+                                             capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+
+    monkeypatch.setattr(dataset, "generate", no_data)
+    assert run(["compare", *flags, "--out", tmp_path / "o"]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_method_help_lists_only_its_flags(capsys):
     with pytest.raises(SystemExit):
         run(["train", "svm", "--help"])

@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from conftest import random_segments
 
 from wellmon.cnn import CnnClassifier
 from wellmon.dataset import generate, preset_config, window
+from wellmon.logreg import LogisticRegression
 from wellmon.pca import PCA
 from wellmon.pipeline import (
     ClassicalPipeline,
@@ -20,7 +23,7 @@ from wellmon.pipeline import (
     run_pipeline,
     subset_channels,
 )
-from wellmon.transforms import FeatureMatrix
+from wellmon.transforms import FeatureMatrix, Standardizer, transform_segments
 
 
 def tiny_config(**kwargs):
@@ -226,6 +229,75 @@ def test_run_compare_all_methods(tmp_path):
     assert "logreg" in table and "cnn" in table
     assert (tmp_path / "cmp" / "cnn_model.bin").exists()
     assert (tmp_path / "cmp" / "svm_model.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# one standardizer
+# ---------------------------------------------------------------------------
+
+def test_pca_pipeline_normalizes_once_through_pca():
+    cfg = tiny_config(pcs=4)
+    train, test, names = prepare_segments(cfg)
+    pipeline = build_pipeline(cfg, channel_names=names)
+    pipeline.fit(train)
+    pca = PCA(4).fit(transform_segments(train, "cov", names))
+    expected = pca.transform(transform_segments(test, "cov", names))
+    projected = pipeline.project(test)
+    assert projected.feature_names == expected.feature_names
+    assert np.array_equal(projected.values, expected.values)
+    assert pipeline.scaler_ is pipeline.pca_.scaler_
+
+
+def test_scaler_file_is_the_fit_on_the_train_features(tmp_path):
+    cfg = tiny_config(pcs=4)
+    run_pipeline(cfg, tmp_path / "out")
+    train, _, names = prepare_segments(cfg)
+    Standardizer().fit(transform_segments(train, "cov", names)).save(
+        tmp_path / "expected.json"
+    )
+    scaler_file = tmp_path / "out" / "logreg_scaler.json"
+    assert scaler_file.read_bytes() == (tmp_path / "expected.json").read_bytes()
+    scaler = json.loads(scaler_file.read_text())
+    pca = json.loads((tmp_path / "out" / "logreg_pca.json").read_text())
+    assert (scaler["mean"], scaler["std"]) == (pca["mean"], pca["std"])
+
+
+@pytest.mark.parametrize("pcs", [None, 2])
+def test_constant_feature_warns_once_per_fit(pcs, rng):
+    segments = random_segments(rng, 20, m=3)
+    for segment in segments:
+        segment.samples[:, 1] = 2.0
+    pipeline = ClassicalPipeline("logreg", "std", pcs, LogisticRegression())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pipeline.fit(segments)
+    constant = [w for w in caught if "constant column" in str(w.message)]
+    assert len(constant) == 1
+
+
+def test_cnn_channel_statistics_match_the_stacked_windows():
+    cfg = tiny_config(method="cnn")
+    train, _, _ = prepare_segments(cfg)
+    pipeline = build_pipeline(cfg)
+    pipeline.fit_project(train)
+    X = CnnPipeline._to_array(train)
+    assert np.array_equal(pipeline.scaler_.mean_, X.mean(axis=(0, 2)))
+    assert np.array_equal(pipeline.scaler_.std_, X.std(axis=(0, 2)))
+
+
+def test_cnn_channels_file_without_kind_loads(tmp_path):
+    cfg = tiny_config(method="cnn", method_params={"epochs": 1, "learning_rate": 1e-3})
+    train, test, _ = prepare_segments(cfg)
+    pipeline = build_pipeline(cfg).fit(train)
+    pipeline.save(tmp_path, "cnn")
+    path = tmp_path / "cnn_channels.json"
+    payload = json.loads(path.read_text())
+    assert payload.pop("kind") == "standardizer"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    loaded = CnnPipeline.load(tmp_path, "cnn")
+    assert np.array_equal(loaded.scaler_.mean_, pipeline.scaler_.mean_)
+    assert np.array_equal(loaded.scaler_.std_, pipeline.scaler_.std_)
+    assert np.array_equal(loaded.predict(test), pipeline.predict(test))
 
 
 # ---------------------------------------------------------------------------
