@@ -140,7 +140,8 @@ def write_lines_csv(lines, path, append=False):
 def read_lines_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
         return [
             RegressionLine(float(b0), float(b1), int(start))
             for start, b0, b1 in reader

@@ -36,7 +36,7 @@ from .pipeline import (
     prepare_segments,
     run_compare,
     run_split,
-    subset_channels,
+    window_segments,
 )
 from .svm import ConvergenceError
 from .transforms import FeatureMatrix, transform_segments
@@ -175,7 +175,6 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--features", help="projected feature CSV (classical models)")
     p.add_argument("--data", help="series directory (cnn models)")
-    p.add_argument("--window-seconds", type=float, default=SUPPRESS)
     p.add_argument("--out", help="report CSV path")
     p.set_defaults(handler=cmd_evaluate)
 
@@ -189,9 +188,9 @@ def build_parser():
     p.add_argument("--features", help="feature CSV for pairwise scatter")
     p.add_argument("--pca-model", help="PCA model JSON for explained ratios")
     p.add_argument("--lines", help="baseline lines CSV for the line cloud")
-    p.add_argument("--cnn-model-dir", help="directory holding cnn_model/_channels")
+    p.add_argument("--cnn-model-dir",
+                   help="run directory with cnn_model, cnn_channels.json, config.json")
     p.add_argument("--data", help="series directory for the cnn embedding")
-    p.add_argument("--window-seconds", type=float, default=SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_emit_plots)
 
@@ -242,13 +241,7 @@ def _load_series_dir(path):
 
 def cmd_transform(args):
     cfg = _pipeline_config(args)
-    series_set = _load_series_dir(args.in_dir)
-    segments = dataset_mod.window(series_set, cfg.window_seconds)
-    channel_names = series_set.channel_names
-    if cfg.channels is not None:
-        segments, channel_names = subset_channels(
-            segments, channel_names, cfg.channels
-        )
+    segments, channel_names = window_segments(cfg, _load_series_dir(args.in_dir))
     features = transform_segments(segments, cfg.transform, channel_names)
     features.to_csv(args.out)
     print(f"wrote {features.n_rows} x {features.n_features} features to {args.out}")
@@ -350,11 +343,14 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_cnn(model_dir, data_dir, window_seconds, stem="cnn"):
-    """The CNN pipeline saved in model_dir under stem and the windows of
-    data_dir."""
-    segments = dataset_mod.window(_load_series_dir(data_dir), window_seconds)
-    return CnnPipeline.load(model_dir, stem), segments
+def _load_cnn(model_dir, data_dir, stem="cnn"):
+    """The CNN pipeline saved in model_dir under stem, and the windows of
+    data_dir cut to the length and channels of the run that trained it,
+    as recorded in the config.json beside the model."""
+    pipeline = CnnPipeline.load(model_dir, stem)
+    cfg = PipelineConfig.from_json((Path(model_dir) / "config.json").read_text())
+    segments, _ = window_segments(cfg, _load_series_dir(data_dir))
+    return pipeline, segments
 
 
 def cmd_evaluate(args):
@@ -370,12 +366,11 @@ def cmd_evaluate(args):
                                    config=str(model_path))
     elif args.data:
         # train writes a CNN as <stem>_model.json/.bin beside <stem>_channels.json
+        # and the run's config.json
         stem = model_path.name.removesuffix("_model")
         if stem == model_path.name:
             raise DataError(f"a CNN model path ends in _model: {model_path}")
-        pipeline, segments = _load_cnn(model_path.parent, args.data,
-                                       _pipeline_config(args).window_seconds,
-                                       stem)
+        pipeline, segments = _load_cnn(model_path.parent, args.data, stem)
         pred = pipeline.predict(segments)
         truth = dataset_mod.labels_of(segments)
         report = score_predictions("cnn", pred, truth, config=str(model_path))
@@ -415,8 +410,7 @@ def cmd_emit_plots(args):
     if args.cnn_model_dir:
         if not args.data:
             raise ConfigError("--cnn-model-dir needs --data for the embedding")
-        pipeline, segments = _load_cnn(args.cnn_model_dir, args.data,
-                                       _pipeline_config(args).window_seconds)
+        pipeline, segments = _load_cnn(args.cnn_model_dir, args.data)
         out.mkdir(parents=True, exist_ok=True)
         emit_cnn_embedding(pipeline, segments, out / "cnn_embedding.csv")
         wrote_any = True

@@ -89,16 +89,9 @@ def _unfold(x, k):
     return windows.reshape(b, c * k, lo)
 
 
-def _conv_batch(x, filters, bias, unfolded=None):
-    b, c_in, length = x.shape
-    c_out, c_in_f, k = filters.shape
-    if c_in != c_in_f:
-        raise ValueError(f"input has {c_in} channels, filters expect {c_in_f}")
-    if length < k:
-        raise ValueError(f"input length {length} < kernel size {k}")
-    if unfolded is None:
-        unfolded = _unfold(x, k)
-    return filters.reshape(c_out, -1) @ unfolded + bias[:, None]
+def _conv_batch(unfolded, filters, bias):
+    """Valid stride-1 cross-correlation of the unfolded (B, C*k, L-k+1) input."""
+    return filters.reshape(filters.shape[0], -1) @ unfolded + bias[:, None]
 
 
 def _conv_batch_backward(unfolded, filters, grad_out, need_input_grad=True):
@@ -147,7 +140,13 @@ def _pool_matrix(length, kernel, stride):
 def conv1d_forward(x, filters, bias):
     """Valid stride-1 convolution of one (C_in, L) sample -> (C_out, L-k+1)."""
     x = np.asarray(x, dtype=np.float64)
-    return _conv_batch(x[None], np.asarray(filters, dtype=np.float64),
+    filters = np.asarray(filters, dtype=np.float64)
+    _, c_in, k = filters.shape
+    if x.shape[0] != c_in:
+        raise ValueError(f"input has {x.shape[0]} channels, filters expect {c_in}")
+    if x.shape[1] < k:
+        raise ValueError(f"input length {x.shape[1]} < kernel size {k}")
+    return _conv_batch(_unfold(x[None], k), filters,
                        np.asarray(bias, dtype=np.float64))[0]
 
 
@@ -240,7 +239,6 @@ class CnnClassifier(BaseEstimator):
         params["fc2.W"] = draw(self.embedding_dim, (1, self.embedding_dim))
         params["fc2.b"] = draw(self.embedding_dim, 1)
         self.params_ = params
-        self.flatten_size_ = flat
         self.input_len_ = input_len
         return self
 
@@ -266,37 +264,31 @@ class CnnClassifier(BaseEstimator):
         return X
 
     def _forward(self, X):
-        """Forward pass in X's dtype, caching what backward needs."""
+        """Forward pass in X's dtype, caching what backward needs. The
+        windows must have the length the model was fit on: flatten_size
+        validated the layer chain for that length only."""
         check_is_fitted(self, "params_")
+        if X.shape[2] != self.input_len_:
+            raise ValueError(
+                f"conv1: input length {X.shape[2]}, but fc1 was fit on "
+                f"{self.input_len_}-sample windows"
+            )
         act, _ = ACTIVATIONS[self.activation]
         params = {name: p.astype(X.dtype, copy=False) for name, p in self.params_.items()}
         cache = {"params": params, "unfolded": [], "preacts": [], "acts": []}
         out = X
         for i in range(1, len(self.conv_layers) + 1):
-            k = params[f"conv{i}.W"].shape[2]
-            if out.shape[2] < k:
-                raise ValueError(f"conv{i}: input length {out.shape[2]} < kernel {k}")
-            unfolded = _unfold(out, k)
+            unfolded = _unfold(out, params[f"conv{i}.W"].shape[2])
             cache["unfolded"].append(unfolded)
-            z = _conv_batch(out, params[f"conv{i}.W"], params[f"conv{i}.b"],
-                            unfolded=unfolded)
+            z = _conv_batch(unfolded, params[f"conv{i}.W"], params[f"conv{i}.b"])
             cache["preacts"].append(z)
             a = act(z)
             cache["acts"].append(a)
-            if a.shape[2] < self.pool_kernel:
-                raise ValueError(
-                    f"pool{i}: input length {a.shape[2]} < kernel {self.pool_kernel}"
-                )
             pool = _cached_pool_matrix(a.shape[2], self.pool_kernel, self.pool_stride,
                                        X.dtype)
             cache[f"pool{i}"] = pool
             out = a @ pool.T
         flat = out.reshape(out.shape[0], -1)
-        if flat.shape[1] != self.flatten_size_:
-            raise ValueError(
-                f"fc1: expected {self.flatten_size_} flattened features, got "
-                f"{flat.shape[1]} (unsupported input length)"
-            )
         cache["conv_out_shape"] = out.shape
         cache["flat"] = flat
         z3 = flat @ params["fc1.W"].T + params["fc1.b"]
@@ -518,7 +510,7 @@ class CnnClassifier(BaseEstimator):
             start = spec_entry["offset"]
             model.params_[spec_entry["name"]] = flat[start : start + size].reshape(shape)
         model.input_len_ = manifest["input_len"]
-        model.flatten_size_ = model.flatten_size(model.input_len_)
+        model.flatten_size(model.input_len_)  # raises if the layer chain fails
         return model
 
 

@@ -305,8 +305,9 @@ def generate_series(cfg: PipelineConfig):
     ))
 
 
-def prepare_segments(cfg: PipelineConfig, series_set=None):
-    """Generate (or accept) series, window them, and split train/test."""
+def window_segments(cfg: PipelineConfig, series_set=None):
+    """Generate (or accept) series, cut them into cfg's windows and keep
+    cfg's channels: the one place a run's windows are decided."""
     if series_set is None:
         series_set = generate_series(cfg)
     segments = dataset_mod.window(series_set, cfg.window_seconds)
@@ -315,6 +316,12 @@ def prepare_segments(cfg: PipelineConfig, series_set=None):
         segments, channel_names = subset_channels(
             segments, channel_names, cfg.channels
         )
+    return segments, channel_names
+
+
+def prepare_segments(cfg: PipelineConfig, series_set=None):
+    """window_segments, then the train/test split."""
+    segments, channel_names = window_segments(cfg, series_set)
     train, test = dataset_mod.split(segments, cfg.test_fraction, cfg.seed)
     return train, test, channel_names
 

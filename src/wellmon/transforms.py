@@ -73,7 +73,9 @@ class FeatureMatrix:
     def from_csv(cls, path):
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a header row")
             if not header or header[-1] != "label":
                 raise ValueError(f"{path}: last column must be 'label'")
             rows, labels = [], []
@@ -165,25 +167,21 @@ def cov_features(segment):
 
 def _feature_rows(segments, kind):
     """std_features or cov_features of every segment, computed on one stack
-    per distinct segment shape (one sym_sqrt_batch call each for cov)."""
+    of same-shape segments (one sym_sqrt_batch call for cov)."""
     samples = [np.asarray(s.samples, dtype=np.float64) for s in segments]
-    m = samples[0].shape[-1]
-    groups = {}
+    shape = samples[0].shape
     for i, x in enumerate(samples):
-        if x.ndim != 2 or x.shape[1] != m:
-            raise ValueError(f"segment {i} has shape {x.shape}; expected (n, {m})")
-        if x.shape[0] < 2:
-            raise ValueError(f"segment needs >= 2 samples, got {x.shape[0]}")
-        groups.setdefault(x.shape, []).append(i)
-    rows, cols = np.array(upper_triangle_indices(m)).reshape(-1, 2).T
-    values = np.empty((len(samples), m if kind == "std" else len(rows)))
-    for idx in groups.values():
-        stack = np.stack([samples[i] for i in idx])
-        if kind == "std":
-            values[idx] = np.std(stack, axis=1, ddof=1)
-        else:
-            values[idx] = sym_sqrt_batch(_covariances(stack))[:, rows, cols]
-    return values
+        if x.ndim != 2 or x.shape != shape:
+            raise ValueError(f"segment {i} has shape {x.shape}; expected {shape}")
+    if shape[0] < 2:
+        raise ValueError(f"segment needs >= 2 samples, got {shape[0]}")
+    stack = np.stack(samples)
+    if kind == "std":
+        return np.std(stack, axis=1, ddof=1)
+    rows, cols = np.array(upper_triangle_indices(shape[1])).reshape(-1, 2).T
+    # fancy indexing here yields Fortran order; the rows go back to C order,
+    # because the column sums of the standardizer round by memory layout
+    return np.ascontiguousarray(sym_sqrt_batch(_covariances(stack))[:, rows, cols])
 
 
 def transform_segments(segments, kind, channel_names=None):

@@ -210,3 +210,10 @@ def test_lines_csv_roundtrip(tmp_path):
     assert len(back) == 3
     assert back[0] == lines[0]
     assert back[2].window_start_index == 2
+
+
+def test_lines_from_empty_csv_names_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv: empty file"):
+        read_lines_csv(path)

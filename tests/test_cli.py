@@ -1,6 +1,7 @@
 import csv
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from wellmon.dtree import PRE_PRUNING_GRIDS, grid_search
 from wellmon.pipeline import (
     PipelineConfig, build_pipeline, prepare_segments, run_pipeline,
 )
+from wellmon.transforms import transform_segments
 from wellmon.validation import stratified_kfold_indices
 
 COMMON = ["--n-per-class", "2", "--len", "1501", "--seed", "0"]
@@ -256,6 +258,72 @@ def test_compare_cnn_reads_the_given_channels(data_dir, tmp_path):
     assert run(["compare", "--data", data_dir, "--channels", "accx_FJ,bmx",
                 "--config", config, "--out", out]) == 0
     assert CnnClassifier.load(out / "cnn_model").in_channels == 2
+
+
+def test_cnn_trained_on_channels_evaluates_and_plots(data_dir, tmp_path, capsys):
+    # evaluate and emit-plots cut the windows to the channels of the run,
+    # as recorded in the config.json beside the model
+    out = tmp_path / "cnn_channels"
+    assert run(["train", "cnn", "--data", data_dir, "--channels", "accx_FJ,bmx",
+                "--epochs", "1", "--out", out]) == 0
+    assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir,
+                "--out", tmp_path / "eval.csv"]) == 0
+    plots = tmp_path / "plots"
+    assert run(["emit-plots", "--cnn-model-dir", out, "--data", data_dir,
+                "--out", plots]) == 0
+    assert len((plots / "cnn_embedding.csv").read_text().splitlines()) == 1 + 20
+    # without its run's config.json a CNN cannot know its windows
+    (out / "config.json").unlink()
+    capsys.readouterr()
+    assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir]) == 3
+    assert "config.json" in capsys.readouterr().err
+
+
+def test_evaluate_and_plots_cut_the_trained_window_length(data_dir, tmp_path,
+                                                          monkeypatch):
+    out = tmp_path / "cnn58"
+    assert run(["train", "cnn", "--data", data_dir, "--window-seconds", "58",
+                "--epochs", "1", "--out", out]) == 0
+    lengths = []
+    forward = CnnClassifier.forward
+
+    def spy(self, X):
+        lengths.append(np.shape(X)[-1])
+        return forward(self, X)
+
+    monkeypatch.setattr(CnnClassifier, "forward", spy)
+    assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir]) == 0
+    assert run(["emit-plots", "--cnn-model-dir", out, "--data", data_dir,
+                "--out", tmp_path / "plots"]) == 0
+    assert lengths == [290, 290]
+    # the window length is the run's, so no flag can set another one
+    for argv in (["evaluate", "--model", out / "cnn_model"],
+                 ["emit-plots", "--cnn-model-dir", out]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--data", data_dir, "--window-seconds", "60",
+                 "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+
+
+def test_transform_channels_are_the_named_columns_of_each_window(data_dir, tmp_path):
+    out = tmp_path / "bm.csv"
+    assert run(["transform", "--in", data_dir, "--transform", "cov",
+                "--channels", "bmx,bmy", "--out", out]) == 0
+    series_set = dataset.load_series_set(data_dir)
+    idx = [series_set.channel_names.index(c) for c in ("bmx", "bmy")]
+    segments = [replace(s, samples=s.samples[:, idx])
+                for s in dataset.window(series_set, 60.0)]
+    expected = tmp_path / "expected.csv"
+    transform_segments(segments, "cov", ("bmx", "bmy")).to_csv(expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_empty_csv_inputs_are_data_errors(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert run(["pca", "--in", empty, "--pcs", "2", "--out", tmp_path / "p.json"]) == 3
+    assert run(["emit-plots", "--lines", empty, "--out", tmp_path / "plots"]) == 3
+    assert capsys.readouterr().err.count(f"{empty}: empty file") == 2
 
 
 def test_emit_plots(data_dir, tmp_path):

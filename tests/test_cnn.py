@@ -144,6 +144,19 @@ def test_forward_rejects_incompatible_length(rng):
         model.forward(rng.standard_normal((1, 4, 300)))
 
 
+@pytest.mark.parametrize("length", [290, 310])
+def test_fitted_model_refuses_other_window_lengths(rng, length):
+    # every length in 284-308 flattens to 48 features, so only the length
+    # recorded at fit tells a 300-sample model from a 290-sample window
+    X, y = _toy_data(rng, n=4)
+    model = CnnClassifier(epochs=1, seed=0).fit(X, y)
+    other = rng.standard_normal((2, 6, length))
+    for call in (model.forward, model.predict):
+        with pytest.raises(ValueError, match=f"input length {length}, but fc1 "
+                                             "was fit on 300-sample windows"):
+            call(other)
+
+
 def test_forward_before_init_raises(rng):
     with pytest.raises(NotFittedError):
         CnnClassifier().forward(rng.standard_normal((1, 6, 300)))
@@ -312,7 +325,7 @@ def test_grad_check_fc_only_path(rng):
     model = CnnClassifier(
         conv_layers=(), in_channels=2, activation="tanh", seed=0
     ).init_params(12)
-    assert model.flatten_size_ == 24
+    assert model.params_["fc1.W"].shape == (2, 24)
     err = model.grad_check(X, y, fraction=0.5, seed=1)
     assert err < 1e-7
 

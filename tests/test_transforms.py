@@ -233,9 +233,10 @@ def test_transform_segments_std_and_cov(rng):
         transform_segments(segments, "fft")
 
 
-def test_cov_path_groups_segments_by_shape(rng, monkeypatch):
-    # one sym_sqrt_batch call per distinct segment shape, rows kept in order,
-    # and each row equal to the one-segment call; std rows likewise
+def test_cov_path_is_one_batch_of_one_shape(rng, monkeypatch):
+    # one sym_sqrt_batch call per transform, rows kept in order, and each
+    # row equal to the one-segment call; std rows likewise. Segments of
+    # mixed shape are refused, as one run cuts windows of one length
     calls = []
     batch = transforms.sym_sqrt_batch
 
@@ -244,11 +245,10 @@ def test_cov_path_groups_segments_by_shape(rng, monkeypatch):
         return batch(mats, *args, **kwargs)
 
     monkeypatch.setattr(transforms, "sym_sqrt_batch", counting)
-    long = random_segments(rng, 5, n_w=30, m=3)
-    short = random_segments(rng, 3, n_w=12, m=3)
-    segments = [long[0], short[0], long[1], long[2], short[1], long[3], short[2], long[4]]
+    segments = random_segments(rng, 5, n_w=30, m=3)
     values = transform_segments(segments, "cov").values
-    assert sorted(calls) == [3, 5]
+    assert calls == [5]
+    assert values.flags["C_CONTIGUOUS"]
     for i, seg in enumerate(segments):
         assert values[i].tobytes() == cov_features(seg).tobytes()
     calls.clear()
@@ -258,9 +258,11 @@ def test_cov_path_groups_segments_by_shape(rng, monkeypatch):
         assert std_values[i].tobytes() == std_features(seg).tobytes()
     cov_sqrt(np.eye(3))
     assert calls == [1]
+    short = random_segments(rng, 1, n_w=12, m=3)[0]
     for kind in ("cov", "std"):
-        with pytest.raises(ValueError, match="segment 1 has shape"):
-            transform_segments([long[0], make_segment(np.ones((30, 2)))], kind)
+        for other in (short, make_segment(np.ones((30, 2)))):
+            with pytest.raises(ValueError, match="segment 1 has shape"):
+                transform_segments([segments[0], other], kind)
 
 
 @pytest.mark.parametrize("count", [1, 288])
@@ -359,6 +361,13 @@ def test_feature_matrix_csv_roundtrip(tmp_path, rng):
     assert back.feature_names == fm.feature_names
     assert np.array_equal(back.labels, fm.labels)
     assert np.array_equal(back.values, fm.values)  # %.17g round-trips float64
+
+
+def test_feature_matrix_from_empty_csv_names_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv: empty file"):
+        FeatureMatrix.from_csv(path)
 
 
 def test_feature_matrix_validation():
