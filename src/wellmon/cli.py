@@ -188,8 +188,8 @@ def build_parser():
     p.add_argument("--features", help="feature CSV for pairwise scatter")
     p.add_argument("--pca-model", help="PCA model JSON for explained ratios")
     p.add_argument("--lines", help="baseline lines CSV for the line cloud")
-    p.add_argument("--cnn-model-dir",
-                   help="run directory with cnn_model, cnn_channels.json, config.json")
+    p.add_argument("--cnn-model",
+                   help="CNN model path <dir>/<stem>_model, as evaluate takes it")
     p.add_argument("--data", help="series directory for the cnn embedding")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_emit_plots)
@@ -343,12 +343,18 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_cnn(model_dir, data_dir, stem="cnn"):
-    """The CNN pipeline saved in model_dir under stem, and the windows of
-    data_dir cut to the length and channels of the run that trained it,
-    as recorded in the config.json beside the model."""
-    pipeline = CnnPipeline.load(model_dir, stem)
-    cfg = PipelineConfig.from_json((Path(model_dir) / "config.json").read_text())
+def _load_cnn(model_path, data_dir):
+    """The CNN pipeline saved as model_path = <dir>/<stem>_model, and the
+    windows of data_dir cut to the length and channels of the run that
+    trained it, as recorded in the config.json beside the model."""
+    # train writes a CNN as <stem>_model.json/.bin beside <stem>_channels.json
+    # and the run's config.json
+    model_path = Path(model_path)
+    stem = model_path.name.removesuffix("_model")
+    if stem == model_path.name:
+        raise DataError(f"a CNN model path ends in _model: {model_path}")
+    pipeline = CnnPipeline.load(model_path.parent, stem)
+    cfg = PipelineConfig.from_json((model_path.parent / "config.json").read_text())
     segments, _ = window_segments(cfg, _load_series_dir(data_dir))
     return pipeline, segments
 
@@ -365,12 +371,7 @@ def cmd_evaluate(args):
         report = score_predictions(kind, pred, features.labels,
                                    config=str(model_path))
     elif args.data:
-        # train writes a CNN as <stem>_model.json/.bin beside <stem>_channels.json
-        # and the run's config.json
-        stem = model_path.name.removesuffix("_model")
-        if stem == model_path.name:
-            raise DataError(f"a CNN model path ends in _model: {model_path}")
-        pipeline, segments = _load_cnn(model_path.parent, args.data, stem)
+        pipeline, segments = _load_cnn(model_path, args.data)
         pred = pipeline.predict(segments)
         truth = dataset_mod.labels_of(segments)
         report = score_predictions("cnn", pred, truth, config=str(model_path))
@@ -407,16 +408,16 @@ def cmd_emit_plots(args):
         out.mkdir(parents=True, exist_ok=True)
         emit_baseline_cloud(read_lines_csv(args.lines), out / "baseline_cloud.csv")
         wrote_any = True
-    if args.cnn_model_dir:
+    if args.cnn_model:
         if not args.data:
-            raise ConfigError("--cnn-model-dir needs --data for the embedding")
-        pipeline, segments = _load_cnn(args.cnn_model_dir, args.data)
+            raise ConfigError("--cnn-model needs --data for the embedding")
+        pipeline, segments = _load_cnn(args.cnn_model, args.data)
         out.mkdir(parents=True, exist_ok=True)
         emit_cnn_embedding(pipeline, segments, out / "cnn_embedding.csv")
         wrote_any = True
     if not wrote_any:
         raise ConfigError(
-            "emit-plots needs --features, --pca-model, --lines or --cnn-model-dir"
+            "emit-plots needs --features, --pca-model, --lines or --cnn-model"
         )
     print(f"wrote plot bundles to {out}")
     return EXIT_OK

@@ -185,7 +185,9 @@ class ClassicalPipeline:
         return self._projector().transform(self._features(segments))
 
     def predict(self, segments):
-        return self.estimator.predict(self.project(segments).values)
+        # one FeatureMatrix per call: the projector and estimator take arrays
+        values = self._features(segments).values
+        return self.estimator.predict(self._projector().transform(values))
 
     def describe(self):
         pca_part = f"+pca({self.pcs})" if self.pcs is not None else ""

@@ -9,9 +9,24 @@ normalization, since the features measure within-window dispersion.
 Both maps run on stacks of same-shape windows; a one-window call
 (std_features, cov_features) is a batch of one, so its row has the bits
 of the same window's row in a batch.
+
+Layout: a batch is cut into chunks of CHUNK consecutive windows, and each
+chunk is stacked sample-major, (n_w, CHUNK, m), so every reduction runs
+over the outer axis with all the chunk's channels in one contiguous inner
+loop, where a window-major (B, n_w, m) stack had an m-wide one. At 300
+samples and 6 channels a chunk's temporaries are about 460 KB each, small
+enough to stay in cache. The bits are those of the window-major stack
+reduced over axis 1: numpy adds a reduction over a non-inner axis in
+sample order in either layout, each window's product with itself is its
+own BLAS call, and the covariances of all chunks go through one
+`sym_sqrt_batch` call, whose per-matrix `eigh` does not depend on the
+batch. Channel-major windows (a channel subset) and one-channel windows,
+whose samples numpy sums along memory, are kept in that order; see
+_sample_major_chunks.
 """
 
 import csv
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -25,6 +40,7 @@ from .linalg import sym_sqrt_batch
 from .validation import as_float_matrix, as_label_vector, check_symmetric, write_csv
 
 CONSTANT_COLUMN_TOL = 1e-12
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -106,20 +122,20 @@ def std_features(segment):
 
 
 def _covariances(stack):
-    """Sample covariances (divisor n-1) of a (B, n, m) stack of segments,
-    each mean-centered over its own samples."""
-    n_w = stack.shape[1]
+    """Sample covariances (divisor n-1), (B, m, m), of a sample-major
+    (n, B, m) stack of segments, each mean-centered over its own samples."""
+    n_w = stack.shape[0]
     if n_w < 2:
         raise ValueError(f"segment needs >= 2 samples, got {n_w}")
-    centered = stack - stack.mean(axis=1, keepdims=True)
-    sigmas = (centered.transpose(0, 2, 1) @ centered) / (n_w - 1)
+    centered = stack - stack.mean(axis=0)
+    sigmas = (centered.transpose(1, 2, 0) @ centered.transpose(1, 0, 2)) / (n_w - 1)
     return 0.5 * (sigmas + sigmas.transpose(0, 2, 1))
 
 
 def cov_matrix(segment) -> CovMatrix:
     """Sample covariance (divisor n-1) of the mean-centered channels."""
     samples = np.asarray(segment.samples, dtype=np.float64)
-    return CovMatrix(_covariances(samples[None])[0])
+    return CovMatrix(_covariances(samples[:, None, :])[0])
 
 
 def cov_sqrt(sigma):
@@ -153,7 +169,20 @@ def upper_triangle_indices(m):
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle(m):
+    """upper_triangle_indices(m) as read-only (rows, cols) index arrays."""
+    rows, cols = np.array(upper_triangle_indices(m)).reshape(-1, 2).T
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def cov_feature_names(channel_names):
+    return _cov_feature_names(tuple(channel_names))
+
+
+@functools.lru_cache(maxsize=64)
+def _cov_feature_names(channel_names):
     return tuple(
         f"sqrtcov({channel_names[i]},{channel_names[j]})"
         for i, j in upper_triangle_indices(len(channel_names))
@@ -166,8 +195,9 @@ def cov_features(segment):
 
 
 def _feature_rows(segments, kind):
-    """std_features or cov_features of every segment, computed on one stack
-    of same-shape segments (one sym_sqrt_batch call for cov)."""
+    """std_features or cov_features of every segment, computed on
+    sample-major chunks of same-shape segments (one sym_sqrt_batch call
+    for cov)."""
     samples = [np.asarray(s.samples, dtype=np.float64) for s in segments]
     shape = samples[0].shape
     for i, x in enumerate(samples):
@@ -175,13 +205,34 @@ def _feature_rows(segments, kind):
             raise ValueError(f"segment {i} has shape {x.shape}; expected {shape}")
     if shape[0] < 2:
         raise ValueError(f"segment needs >= 2 samples, got {shape[0]}")
-    stack = np.stack(samples)
+    chunks = _sample_major_chunks(samples)
     if kind == "std":
-        return np.std(stack, axis=1, ddof=1)
-    rows, cols = np.array(upper_triangle_indices(shape[1])).reshape(-1, 2).T
+        return np.concatenate([np.std(chunk, axis=0, ddof=1) for chunk in chunks])
+    sigmas = np.concatenate([_covariances(chunk) for chunk in chunks])
+    rows, cols = _triangle(shape[1])
     # fancy indexing here yields Fortran order; the rows go back to C order,
     # because the column sums of the standardizer round by memory layout
-    return np.ascontiguousarray(sym_sqrt_batch(_covariances(stack))[:, rows, cols])
+    return np.ascontiguousarray(sym_sqrt_batch(sigmas)[:, rows, cols])
+
+
+def _sample_major_chunks(samples):
+    """(n_w, <=CHUNK, m) stacks of consecutive windows, samples first.
+
+    Row-major windows are copied sample-major. Channel-major windows (a
+    channel subset is cut that way) and one-channel windows are copied into
+    (CHUNK, m, n_w) memory and viewed sample-major: their sums over samples
+    run along memory, as on the window-major stack numpy builds for them,
+    so each row keeps that stack's bits.
+    """
+    first = samples[0]
+    sample_stride, channel_stride = (abs(step) for step in first.strides)
+    channel_major = first.shape[1] == 1 or sample_stride < channel_stride
+    for start in range(0, len(samples), CHUNK):
+        part = samples[start:start + CHUNK]
+        if channel_major:
+            yield np.stack([x.T for x in part]).transpose(2, 0, 1)
+        else:
+            yield np.stack(part, axis=1)
 
 
 def transform_segments(segments, kind, channel_names=None):

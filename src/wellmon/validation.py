@@ -48,8 +48,9 @@ def as_label_vector(y, name="y"):
     if y.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {y.shape}")
     y = y.astype(np.int64)
-    bad = set(np.unique(y)) - {0, 1}
-    if bad:
+    binary = (y == 0) | (y == 1)
+    if not binary.all():
+        bad = np.unique(y[~binary])
         raise ValueError(f"{name} must be binary 0/1, found values {sorted(bad)}")
     return y
 

@@ -215,6 +215,30 @@ def test_evaluate_cnn_loads_the_named_model(data_dir, tmp_path, capsys):
     assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir]) == 3
 
 
+def test_emit_plots_loads_the_named_cnn(data_dir, tmp_path, capsys):
+    # emit-plots takes the CNN stem from --cnn-model, as evaluate does
+    out = tmp_path / "cnn_plots"
+    assert run(["train", "cnn", "--data", data_dir, "--epochs", "1",
+                "--out", out]) == 0
+    assert run(["emit-plots", "--cnn-model", out / "cnn_model", "--data", data_dir,
+                "--out", tmp_path / "plots"]) == 0
+    for name in ("model.json", "model.bin", "channels.json"):
+        (out / f"cnn_{name}").rename(out / f"moved_{name}")
+    assert run(["emit-plots", "--cnn-model", out / "moved_model", "--data", data_dir,
+                "--out", tmp_path / "moved_plots"]) == 0
+    embedding = "cnn_embedding.csv"
+    assert ((tmp_path / "moved_plots" / embedding).read_bytes()
+            == (tmp_path / "plots" / embedding).read_bytes())
+    capsys.readouterr()
+    for missing in (out / "cnn_model", out / "no_such_model"):
+        assert run(["emit-plots", "--cnn-model", missing, "--data", data_dir,
+                    "--out", tmp_path / "x"]) == 3
+        assert str(missing) in capsys.readouterr().err
+    assert run(["emit-plots", "--cnn-model", out / "moved", "--data", data_dir,
+                "--out", tmp_path / "x"]) == 3
+    assert "ends in _model" in capsys.readouterr().err
+
+
 def test_evaluate_classical(data_dir, tmp_path):
     out = tmp_path / "lr"
     run(["train", "logreg", "--data", data_dir, "--pcs", "4", "--out", out])
@@ -269,7 +293,7 @@ def test_cnn_trained_on_channels_evaluates_and_plots(data_dir, tmp_path, capsys)
     assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir,
                 "--out", tmp_path / "eval.csv"]) == 0
     plots = tmp_path / "plots"
-    assert run(["emit-plots", "--cnn-model-dir", out, "--data", data_dir,
+    assert run(["emit-plots", "--cnn-model", out / "cnn_model", "--data", data_dir,
                 "--out", plots]) == 0
     assert len((plots / "cnn_embedding.csv").read_text().splitlines()) == 1 + 20
     # without its run's config.json a CNN cannot know its windows
@@ -293,12 +317,12 @@ def test_evaluate_and_plots_cut_the_trained_window_length(data_dir, tmp_path,
 
     monkeypatch.setattr(CnnClassifier, "forward", spy)
     assert run(["evaluate", "--model", out / "cnn_model", "--data", data_dir]) == 0
-    assert run(["emit-plots", "--cnn-model-dir", out, "--data", data_dir,
+    assert run(["emit-plots", "--cnn-model", out / "cnn_model", "--data", data_dir,
                 "--out", tmp_path / "plots"]) == 0
     assert lengths == [290, 290]
     # the window length is the run's, so no flag can set another one
     for argv in (["evaluate", "--model", out / "cnn_model"],
-                 ["emit-plots", "--cnn-model-dir", out]):
+                 ["emit-plots", "--cnn-model", out / "cnn_model"]):
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--data", data_dir, "--window-seconds", "60",
                  "--out", tmp_path / "x"])
@@ -351,7 +375,7 @@ def test_emit_plots_other_bundles(data_dir, tmp_path):
     run(["train", "cnn", "--data", data_dir, "--epochs", "1", "--out", cnn_dir])
     out = tmp_path / "bundles"
     code = run(["emit-plots", "--pca-model", pca_model, "--lines", lines_csv,
-                "--cnn-model-dir", cnn_dir, "--data", data_dir, "--out", out])
+                "--cnn-model", cnn_dir / "cnn_model", "--data", data_dir, "--out", out])
     assert code == 0
     ratios = (out / "pca_ratios.csv").read_text().splitlines()
     assert ratios[0] == "component,ratio,cumulative"

@@ -137,6 +137,11 @@ def test_batch_rejects_asymmetric_and_non_finite():
         jacobi_eigh_batch(np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])]))
     with pytest.raises(ValueError, match="non-finite"):
         jacobi_eigh_batch(np.full((1, 2, 2), np.nan))
+    # an inf on one side of the diagonal fails as non-finite, not asymmetric
+    one_sided = np.stack([np.eye(2), np.eye(2)])
+    one_sided[1, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigh_batch(one_sided)
 
 
 def test_benchmark_bound_names_exist():

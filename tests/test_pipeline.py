@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_segments
+from conftest import make_segment, random_segments
 
 from wellmon.cnn import CnnClassifier
 from wellmon.dataset import generate, preset_config, window
@@ -160,6 +160,28 @@ def test_classical_pipeline_fit_predict():
     projected = pipeline.project(test)
     assert projected.n_features == 4
     assert projected.feature_names == ("PC1", "PC2", "PC3", "PC4")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("transform", ["std", "cov"])
+@pytest.mark.parametrize("method", ["logreg", "dtree", "svm"])
+def test_classical_predict_rejects_non_finite_samples(rng, method, transform):
+    # a NaN or inf sample in any window of a batch, inside the first chunk
+    # or a later one, fails loudly instead of becoming a feature row
+    segments = random_segments(rng, 40, separated=True)
+    for pcs in (None, 3):
+        cfg = PipelineConfig(method=method, transform=transform, pcs=pcs)
+        pipeline = build_pipeline(cfg).fit(segments)
+        expected = pipeline.estimator.predict(pipeline.project(segments).values)
+        assert np.array_equal(pipeline.predict(segments), expected)
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in (0, 35):
+                windows = [make_segment(s.samples.copy()) for s in segments]
+                windows[index].samples[7, 2] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    pipeline.predict(windows)
+                with pytest.raises(ValueError, match="non-finite"):
+                    pipeline.predict([windows[index]])
 
 
 def test_cnn_pipeline_fit_predict():

@@ -270,10 +270,10 @@ def test_batched_covariances_match_np_cov(rng, count):
     # the batched product is the per-window np.cov, and each row has the
     # bits of its one-window call, so batched and streamed features agree
     stack = rng.standard_normal((count, 300, 6)) * rng.uniform(0.1, 10.0, 6)
-    sigmas = transforms._covariances(stack)
+    sigmas = transforms._covariances(np.ascontiguousarray(stack.transpose(1, 0, 2)))
     for i, window in enumerate(stack):
         assert np.max(np.abs(sigmas[i] - np.cov(window, rowvar=False))) < 1e-12
-        one = transforms._covariances(window[None])[0]
+        one = transforms._covariances(window[:, None, :])[0]
         assert sigmas[i].tobytes() == one.tobytes()
 
 
@@ -284,6 +284,54 @@ def test_batched_std_rows_match_one_window_std(rng, count):
     values = transform_segments([make_segment(w) for w in stack], "std").values
     for i, window in enumerate(stack):
         assert values[i].tobytes() == np.std(window, axis=0, ddof=1).tobytes()
+
+
+def _window_major_row(window, kind):
+    """One window's row by the window-major formula: a (1, n, m) stack
+    reduced over its sample axis."""
+    stack = window[None]
+    if kind == "std":
+        return np.std(stack, axis=1, ddof=1)[0]
+    centered = stack - stack.mean(axis=1, keepdims=True)
+    sigmas = (centered.transpose(0, 2, 1) @ centered) / (stack.shape[1] - 1)
+    sigmas = 0.5 * (sigmas + sigmas.transpose(0, 2, 1))
+    rows, cols = np.array(upper_triangle_indices(window.shape[1])).T
+    return transforms.sym_sqrt_batch(sigmas)[0][rows, cols]
+
+
+_LAYOUTS = {
+    "row-major": np.ascontiguousarray,
+    # the layout pipeline.subset_channels cuts a channel subset in
+    "channel-major": np.asfortranarray,
+    "one-channel": lambda w: np.ascontiguousarray(w[:, :1]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
+def test_chunked_rows_match_one_window_rows(rng, count, layout, monkeypatch):
+    # batches that end inside, at and past a chunk edge: every row has the
+    # bits of its one-window call and of the window-major formula, and the
+    # covariances of all chunks share one sym_sqrt_batch call
+    assert transforms.CHUNK == 32
+    draws = rng.standard_normal((count, 300, 6)) * rng.uniform(0.1, 10.0, 6)
+    windows = [_LAYOUTS[layout](w) for w in draws]
+    segments = [make_segment(w) for w in windows]
+    calls = []
+    batch = transforms.sym_sqrt_batch
+
+    def counting(mats, *args, **kwargs):
+        calls.append(len(mats))
+        return batch(mats, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "sym_sqrt_batch", counting)
+    for kind, one_window in (("std", std_features), ("cov", cov_features)):
+        calls.clear()
+        values = transform_segments(segments, kind).values
+        assert calls == ([count] if kind == "cov" else [])
+        for i, window in enumerate(windows):
+            assert values[i].tobytes() == one_window(segments[i]).tobytes()
+            assert values[i].tobytes() == _window_major_row(window, kind).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +425,7 @@ def test_feature_matrix_validation():
         FeatureMatrix(np.full((2, 2), np.inf), ("a", "b"), [0, 1])
     with pytest.raises(ValueError):
         FeatureMatrix(np.zeros((2, 2)), ("a", "b"), [0, 2])
+    # bad labels are named, each value once
+    named = r"found values \[np.int64\(-1\), np.int64\(2\)\]"
+    with pytest.raises(ValueError, match=named):
+        FeatureMatrix(np.zeros((4, 1)), ("a",), [2, 0, -1, 2])
