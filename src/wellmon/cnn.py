@@ -16,6 +16,16 @@ meaningful. `params_` hold float32-exact float64 values: a float32 pass
 sees them unrounded, a float64 pass sees them unchanged, and the float64
 checkpoint reloads to bit-identical predictions.
 
+Inference (`forward` and the calls built on it) runs the conv -> act ->
+pool stages on chunks of CHUNK consecutive windows and keeps no backward
+cache, so its peak memory is bounded by the chunk: for 6 x 300 windows a
+chunk's conv1 im2col copy is about 6 MB, where a 480-window batch's would
+be 94 MB. The fc head runs once on the concatenated chunk outputs. That keeps the bits of the
+whole-batch pass at every batch size: the per-sample conv products and the
+pool products give the same bits at any chunk size, but OpenBLAS sgemm's
+bits for the thin fc products (B x 48 by 48 x 2, B x 2 by 2 x 1) depend on
+the row count B.
+
 Training is mini-batch Adam on the MSE between predicted probability and
 the 0/1 label, with weight decay added to the gradient as lambda * theta
 before the moment updates (the coupled convention). The step decays from
@@ -71,6 +81,9 @@ ACTIVATIONS = {
 
 # activations with a non-differentiable point at zero
 KINKED = ("relu", "leaky_relu")
+
+# windows per chunk of an inference pass
+CHUNK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -263,49 +276,70 @@ class CnnClassifier(BaseEstimator):
             )
         return X
 
-    def _forward(self, X):
-        """Forward pass in X's dtype, caching what backward needs. The
-        windows must have the length the model was fit on: flatten_size
-        validated the layer chain for that length only."""
+    def _pass_params(self, X):
+        """params_ in X's dtype, once the model is known fitted for X's
+        window length: flatten_size validated the layer chain for that
+        length only."""
         check_is_fitted(self, "params_")
         if X.shape[2] != self.input_len_:
             raise ValueError(
                 f"conv1: input length {X.shape[2]}, but fc1 was fit on "
                 f"{self.input_len_}-sample windows"
             )
+        return {name: p.astype(X.dtype, copy=False) for name, p in self.params_.items()}
+
+    def _conv_stack(self, X, params, cache=None):
+        """conv -> act -> pool through every conv layer of a (B, C, L)
+        batch -> (B, C_last, L_last). A cache dict records what backward
+        needs."""
         act, _ = ACTIVATIONS[self.activation]
-        params = {name: p.astype(X.dtype, copy=False) for name, p in self.params_.items()}
-        cache = {"params": params, "unfolded": [], "preacts": [], "acts": []}
         out = X
         for i in range(1, len(self.conv_layers) + 1):
             unfolded = _unfold(out, params[f"conv{i}.W"].shape[2])
-            cache["unfolded"].append(unfolded)
             z = _conv_batch(unfolded, params[f"conv{i}.W"], params[f"conv{i}.b"])
-            cache["preacts"].append(z)
             a = act(z)
-            cache["acts"].append(a)
             pool = _cached_pool_matrix(a.shape[2], self.pool_kernel, self.pool_stride,
                                        X.dtype)
-            cache[f"pool{i}"] = pool
+            if cache is not None:
+                cache["unfolded"].append(unfolded)
+                cache["preacts"].append(z)
+                cache["acts"].append(a)
+                cache[f"pool{i}"] = pool
             out = a @ pool.T
-        flat = out.reshape(out.shape[0], -1)
-        cache["conv_out_shape"] = out.shape
-        cache["flat"] = flat
+        return out
+
+    def _head(self, flat, params):
+        """fc1 -> act -> fc2 -> sigmoid of the (B, F) flattened conv output;
+        returns fc1's pre-activation, the embedding and the probabilities."""
+        act, _ = ACTIVATIONS[self.activation]
         z3 = flat @ params["fc1.W"].T + params["fc1.b"]
-        cache["z3"] = z3
         embedding = act(z3)
-        cache["embedding"] = embedding
         z4 = embedding @ params["fc2.W"].T + params["fc2.b"]
-        cache["z4"] = z4
-        cache["probs"] = sigmoid(z4)[:, 0]
+        return z3, embedding, sigmoid(z4)[:, 0]
+
+    def _forward(self, X):
+        """Forward pass of the whole batch in X's dtype, caching what
+        backward needs."""
+        params = self._pass_params(X)
+        cache = {"params": params, "unfolded": [], "preacts": [], "acts": []}
+        out = self._conv_stack(X, params, cache)
+        cache["conv_out_shape"] = out.shape
+        cache["flat"] = out.reshape(out.shape[0], -1)
+        cache["z3"], cache["embedding"], cache["probs"] = self._head(cache["flat"], params)
         return cache
 
     def forward(self, X):
         """Probabilities in (0, 1) and the 2-D embedding after fc1, both
-        computed in float32."""
+        computed in float32. The conv stack runs CHUNK windows at a time
+        and keeps no backward cache; the head runs once on all of them."""
         X = self._prepare_batch(X)
-        cache = self._forward(X)
-        return cache["probs"], cache["embedding"]
+        params = self._pass_params(X)
+        out = np.concatenate([
+            self._conv_stack(X[start : start + CHUNK], params)
+            for start in range(0, X.shape[0], CHUNK)
+        ])
+        _, embedding, probs = self._head(out.reshape(out.shape[0], -1), params)
+        return probs, embedding
 
     def _loss_and_grads(self, X, y):
         _, dact = ACTIVATIONS[self.activation]

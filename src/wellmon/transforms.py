@@ -206,9 +206,12 @@ def _feature_rows(segments, kind):
     if shape[0] < 2:
         raise ValueError(f"segment needs >= 2 samples, got {shape[0]}")
     chunks = _sample_major_chunks(samples)
-    if kind == "std":
-        return np.concatenate([np.std(chunk, axis=0, ddof=1) for chunk in chunks])
-    sigmas = np.concatenate([_covariances(chunk) for chunk in chunks])
+    # an inf sample centers to inf - inf = NaN; the finiteness screens
+    # downstream raise for it, so numpy's warning would only repeat them
+    with np.errstate(invalid="ignore"):
+        if kind == "std":
+            return np.concatenate([np.std(chunk, axis=0, ddof=1) for chunk in chunks])
+        sigmas = np.concatenate([_covariances(chunk) for chunk in chunks])
     rows, cols = _triangle(shape[1])
     # fancy indexing here yields Fortran order; the rows go back to C order,
     # because the column sums of the standardizer round by memory layout

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import wellmon
+from wellmon import cnn
 from wellmon.base import NotFittedError
 from wellmon.cnn import (
     ACTIVATIONS,
+    CHUNK,
     CnnClassifier,
     SearchSpace,
     TrainingDivergedError,
@@ -125,6 +127,20 @@ def test_forward_shapes_and_range(rng):
     assert probs.shape == (5,)
     assert embedding.shape == (5, 2)
     assert np.all((probs > 0.0) & (probs < 1.0))
+
+
+@pytest.mark.parametrize("batch", [1, 31, 32, 33, 64, 65, 480])
+def test_chunked_forward_matches_whole_batch_pass(rng, batch):
+    # the conv stack runs CHUNK windows at a time and the head once over the
+    # batch, so remainder chunks included, inference keeps the bits of the
+    # whole-batch training pass; the thin fc products would not if chunked
+    model = CnnClassifier(seed=1).init_params(300)
+    X = model._prepare_batch(rng.standard_normal((batch, 6, 300)))
+    probs, embedding = model.forward(X)
+    cache = model._forward(X)
+    assert probs.dtype == embedding.dtype == np.float32
+    assert np.array_equal(probs, cache["probs"])
+    assert np.array_equal(embedding, cache["embedding"])
 
 
 def test_shape_chain_flatten_48():
@@ -242,6 +258,25 @@ def test_float32_step_stays_float32(rng):
         for tensors in (grads, m, v, model.params_):
             for name, tensor in tensors.items():
                 assert tensor.dtype == np.float32, (activation, name)
+
+
+def test_inference_unfolds_at_most_chunk_windows(rng, monkeypatch):
+    # the im2col copy bounds a pass's memory: inference unfolds one chunk at
+    # a time, training the whole minibatch its backward pass needs
+    seen = []
+
+    def spy(x, k):
+        seen.append(x.shape[0])
+        return _unfold(x, k)
+
+    monkeypatch.setattr(cnn, "_unfold", spy)
+    X, y = _toy_data(rng, n=120)
+    model = CnnClassifier(epochs=1, batch_size=50, seed=0).fit(X, y)
+    assert seen == [50, 50, 50, 50, 20, 20]  # conv1 and conv2 per minibatch
+    seen.clear()
+    model.predict_proba(rng.standard_normal((480, 6, 300)))
+    assert max(seen) <= CHUNK
+    assert sum(seen) == 2 * 480
 
 
 def test_training_determinism(rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wellmon
-from wellmon import dataset, pca, pipeline, transforms
+from wellmon import cnn, dataset, pca, pipeline, transforms
 from wellmon.linalg import (
     eigh_descending,
     jacobi_eigh,
@@ -146,8 +146,9 @@ def test_batch_rejects_asymmetric_and_non_finite():
 
 def test_benchmark_bound_names_exist():
     # perfbench/layers.py wraps these module attributes by name when it
-    # traces a run, and perfbench/workloads.py calls the pipeline ones; a
-    # rename would silently drop them from the trace or stop the benchmark
+    # traces a run, and perfbench/workloads.py calls the pipeline ones and
+    # CnnClassifier.predict_proba; a rename would silently drop them from
+    # the trace or stop the benchmark
     for module, name in (
         (dataset, "sym_sqrt"),
         (dataset, "jacobi_eigh"),
@@ -161,6 +162,9 @@ def test_benchmark_bound_names_exist():
         (pipeline.CnnPipeline, "_to_array"),
         (pipeline.CnnPipeline, "_normalize"),
         (pipeline.ClassicalPipeline, "project"),
+        (cnn.CnnClassifier, "fit"),
+        (cnn.CnnClassifier, "predict"),
+        (cnn.CnnClassifier, "predict_proba"),
     ):
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
     assert pipeline.METHODS == ("logreg", "dtree", "svm", "cnn")

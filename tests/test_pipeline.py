@@ -162,7 +162,6 @@ def test_classical_pipeline_fit_predict():
     assert projected.feature_names == ("PC1", "PC2", "PC3", "PC4")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("transform", ["std", "cov"])
 @pytest.mark.parametrize("method", ["logreg", "dtree", "svm"])
 def test_classical_predict_rejects_non_finite_samples(rng, method, transform):
