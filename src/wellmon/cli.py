@@ -33,6 +33,7 @@ from .pipeline import (
     emit_feature_scatter,
     emit_pca_ratios,
     generate_series,
+    load_run,
     prepare_segments,
     run_compare,
     run_split,
@@ -172,9 +173,8 @@ def build_parser():
     _add_method_parsers(p.add_subparsers(dest="method", required=True))
 
     p = sub.add_parser("evaluate", allow_abbrev=False, help="score a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", help="projected feature CSV (classical models)")
-    p.add_argument("--data", help="series directory (cnn models)")
+    p.add_argument("--model", required=True, help="model path <dir>/<stem>_model")
+    p.add_argument("--data", required=True, help="series directory to score")
     p.add_argument("--out", help="report CSV path")
     p.set_defaults(handler=cmd_evaluate)
 
@@ -343,40 +343,11 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_cnn(model_path, data_dir):
-    """The CNN pipeline saved as model_path = <dir>/<stem>_model, and the
-    windows of data_dir cut to the length and channels of the run that
-    trained it, as recorded in the config.json beside the model."""
-    # train writes a CNN as <stem>_model.json/.bin beside <stem>_channels.json
-    # and the run's config.json
-    model_path = Path(model_path)
-    stem = model_path.name.removesuffix("_model")
-    if stem == model_path.name:
-        raise DataError(f"a CNN model path ends in _model: {model_path}")
-    pipeline = CnnPipeline.load(model_path.parent, stem)
-    cfg = PipelineConfig.from_json((model_path.parent / "config.json").read_text())
-    segments, _ = window_segments(cfg, _load_series_dir(data_dir))
-    return pipeline, segments
-
-
 def cmd_evaluate(args):
-    model_path = Path(args.model)
-    if args.features:
-        features = FeatureMatrix.from_csv(args.features)
-        kind = json.loads(model_path.read_text()).get("kind")
-        if kind not in ESTIMATORS or kind == "cnn":
-            raise DataError(f"cannot evaluate model kind {kind!r} on features")
-        model = ESTIMATORS[kind].load(model_path)
-        pred = model.predict(features.values)
-        report = score_predictions(kind, pred, features.labels,
-                                   config=str(model_path))
-    elif args.data:
-        pipeline, segments = _load_cnn(model_path, args.data)
-        pred = pipeline.predict(segments)
-        truth = dataset_mod.labels_of(segments)
-        report = score_predictions("cnn", pred, truth, config=str(model_path))
-    else:
-        raise ConfigError("evaluate needs --features or --data")
+    pipeline, segments = load_run(args.model, _load_series_dir(args.data))
+    truth = dataset_mod.labels_of(segments)
+    report = score_predictions(pipeline.name, pipeline.predict(segments), truth,
+                               config=str(Path(args.model)))
     print(
         f"{report.method}: precision {report.precision:.4f} recall "
         f"{report.recall:.4f} f1 {report.f1:.4f} accuracy {report.accuracy:.4f}"
@@ -411,7 +382,9 @@ def cmd_emit_plots(args):
     if args.cnn_model:
         if not args.data:
             raise ConfigError("--cnn-model needs --data for the embedding")
-        pipeline, segments = _load_cnn(args.cnn_model, args.data)
+        pipeline, segments = load_run(args.cnn_model, _load_series_dir(args.data))
+        if not isinstance(pipeline, CnnPipeline):
+            raise DataError(f"{args.cnn_model} is a {pipeline.name} model, not a CNN")
         out.mkdir(parents=True, exist_ok=True)
         emit_cnn_embedding(pipeline, segments, out / "cnn_embedding.csv")
         wrote_any = True

@@ -264,8 +264,8 @@ class CnnClassifier(BaseEstimator):
             X = np.asarray(X, dtype=dtype)
         if X.ndim == 2:
             X = X[None]
-        if X.ndim != 3:
-            raise ValueError(f"expected (B, C, L) input, got shape {X.shape}")
+        if X.ndim != 3 or X.shape[0] == 0:
+            raise ValueError(f"expected (B, C, L) input with B > 0, got shape {X.shape}")
         if X.shape[1] != self.in_channels:
             raise ValueError(
                 f"conv1: expected {self.in_channels} channels, got {X.shape[1]}"

@@ -61,7 +61,8 @@ class PCA(BaseEstimator):
 
     def transform(self, X):
         check_is_fitted(self, "components_")
-        values, _ = _matrix_values(X)
+        # the scaler checks the width and finiteness of the values
+        values = X.values if isinstance(X, FeatureMatrix) else X
         projected = self.scaler_.transform(values) @ self.components_
         if isinstance(X, FeatureMatrix):
             names = tuple(f"PC{i + 1}" for i in range(self.n_components))

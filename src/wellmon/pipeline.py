@@ -200,6 +200,20 @@ class ClassicalPipeline:
             self.pca_.save(out_dir / f"{stem}_pca.json")
         self.estimator.save(out_dir / f"{stem}_model.json")
 
+    @classmethod
+    def load(cls, out_dir, stem, kind, transform, pcs, channel_names=None):
+        """What save(out_dir, stem) wrote, read back as fit_project made it."""
+        out_dir = Path(out_dir)
+        estimator = ESTIMATORS[kind].load(out_dir / f"{stem}_model.json")
+        pipeline = cls(kind, transform, pcs, estimator, channel_names)
+        if pcs is None:
+            pipeline.pca_ = None
+            pipeline.scaler_ = Standardizer.load(out_dir / f"{stem}_scaler.json")
+        else:
+            pipeline.pca_ = PCA.load(out_dir / f"{stem}_pca.json")
+            pipeline.scaler_ = pipeline.pca_.scaler_
+        return pipeline
+
 
 class CnnPipeline:
     """Per-channel standardization of raw windows, then the CNN."""
@@ -326,6 +340,28 @@ def prepare_segments(cfg: PipelineConfig, series_set=None):
     segments, channel_names = window_segments(cfg, series_set)
     train, test = dataset_mod.split(segments, cfg.test_fraction, cfg.seed)
     return train, test, channel_names
+
+
+def load_run(model_path, series_set):
+    """The run saved beside <dir>/<stem>_model: its pipeline, of the model's
+    `kind`, and series_set's windows cut by the run's config.json."""
+    model_path = Path(model_path)
+    out_dir, stem = model_path.parent, model_path.name.removesuffix("_model")
+    if stem == model_path.name:
+        raise DataError(f"a model path ends in _model: {model_path}")
+    cfg = PipelineConfig.from_json((out_dir / "config.json").read_text())
+    segments, channel_names = window_segments(cfg, series_set)
+    try:
+        kind = json.loads((out_dir / f"{stem}_model.json").read_text())["kind"]
+        if kind not in ESTIMATORS:
+            raise DataError(f"{model_path}: unknown model kind {kind!r}")
+        if kind == "cnn":
+            return CnnPipeline.load(out_dir, stem), segments
+        return ClassicalPipeline.load(
+            out_dir, stem, kind, cfg.transform, cfg.pcs, channel_names
+        ), segments
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{model_path}: malformed saved model ({exc!r})") from None
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir, series_set=None):

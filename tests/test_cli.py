@@ -1,6 +1,7 @@
 import csv
 import json
 import shlex
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from wellmon import cli, dataset
 from wellmon.cli import main
 from wellmon.cnn import CnnClassifier, random_search
 from wellmon.dtree import PRE_PRUNING_GRIDS, grid_search
+from wellmon.evaluation import score_predictions
 from wellmon.pipeline import (
-    PipelineConfig, build_pipeline, prepare_segments, run_pipeline,
+    METHODS, PipelineConfig, build_pipeline, load_run, prepare_segments,
+    run_compare, run_pipeline, window_segments,
 )
 from wellmon.transforms import transform_segments
 from wellmon.validation import stratified_kfold_indices
@@ -242,12 +245,123 @@ def test_emit_plots_loads_the_named_cnn(data_dir, tmp_path, capsys):
 def test_evaluate_classical(data_dir, tmp_path):
     out = tmp_path / "lr"
     run(["train", "logreg", "--data", data_dir, "--pcs", "4", "--out", out])
-    code = run(["evaluate", "--model", out / "logreg_model.json",
-                "--features", out / "logreg_test_features.csv",
+    code = run(["evaluate", "--model", out / "logreg_model", "--data", data_dir,
                 "--out", tmp_path / "eval.csv"])
     assert code == 0
     rows = (tmp_path / "eval.csv").read_text().splitlines()
     assert len(rows) == 2
+    # a feature CSV skips the run's scaler and PCA, so evaluate takes none
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--model", out / "logreg_model", "--data", data_dir,
+             "--features", out / "logreg_test_features.csv"])
+    assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def new_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("new_series")
+    assert run(["generate", "--n-per-class", "2", "--len", "1501", "--seed", "5",
+                "--out", path]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def saved_runs(data_dir, tmp_path_factory):
+    """(run directory, fitted pipeline) by ("train" or "compare", method):
+    each method alone on std features, and all four on cov + PCA(4)."""
+    series_set = dataset.load_series_set(data_dir)
+    root = tmp_path_factory.mktemp("runs")
+    runs = {}
+    for method in METHODS:
+        params = {"epochs": 1} if method == "cnn" else {}
+        cfg = PipelineConfig(method=method, transform="std", method_params=params)
+        _, pipeline = run_pipeline(cfg, root / method, series_set)
+        runs["train", method] = root / method, pipeline
+    cfg = PipelineConfig(pcs=4, method_params={"cnn": {"epochs": 1}})
+    _, pipelines = run_compare(cfg, root / "compare", series_set)
+    for pipeline in pipelines:
+        runs["compare", pipeline.name] = root / "compare", pipeline
+    return runs
+
+
+def _scored_line(method, pred, truth):
+    report = score_predictions(method, pred, truth)
+    return (
+        f"{method}: precision {report.precision:.4f} recall {report.recall:.4f} "
+        f"f1 {report.f1:.4f} accuracy {report.accuracy:.4f}\n"
+    )
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("run_kind", ["train", "compare"])
+def test_evaluate_scores_as_the_fitted_pipeline(saved_runs, run_kind, method,
+                                                new_dir, capsys):
+    # new series go through the run's own windows, scaler, PCA and model
+    out, fitted = saved_runs[run_kind, method]
+    cfg = PipelineConfig.from_json((out / "config.json").read_text())
+    segments, _ = window_segments(cfg, dataset.load_series_set(new_dir))
+    pred = fitted.predict(segments)
+    capsys.readouterr()
+    assert run(["evaluate", "--model", out / f"{method}_model",
+                "--data", new_dir]) == 0
+    assert capsys.readouterr().out == _scored_line(
+        method, pred, dataset.labels_of(segments)
+    )
+    loaded, loaded_segments = load_run(out / f"{method}_model",
+                                       dataset.load_series_set(new_dir))
+    assert np.array_equal(loaded.predict(loaded_segments), pred)
+
+
+def test_evaluate_a_classical_run_on_new_series(tmp_path, capsys):
+    old, new, out = tmp_path / "old", tmp_path / "new", tmp_path / "run"
+    assert run(["generate", "--n-per-class", "3", "--len", "3601", "--seed", "0",
+                "--out", old]) == 0
+    assert run(["generate", "--n-per-class", "2", "--len", "3601", "--seed", "5",
+                "--out", new]) == 0
+    assert run(["train", "logreg", "--data", old, "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--model", out / "logreg_model", "--data", new]) == 0
+    scored = capsys.readouterr().out
+    cfg = PipelineConfig.from_json((out / "config.json").read_text())
+    train, _, channel_names = prepare_segments(cfg, dataset.load_series_set(old))
+    pipeline = build_pipeline(cfg, channel_names=channel_names).fit(train)
+    segments, _ = window_segments(cfg, dataset.load_series_set(new))
+    truth = dataset.labels_of(segments)
+    assert scored == _scored_line("logreg", pipeline.predict(segments), truth)
+    # unscaled features called every window broken
+    assert "accuracy 0.5000" not in scored
+
+
+def test_evaluate_classical_loads_the_named_model(data_dir, tmp_path, capsys):
+    out = tmp_path / "svm_named"
+    assert run(["train", "svm", "--data", data_dir, "--pcs", "3",
+                "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--model", out / "svm_model", "--data", data_dir]) == 0
+    scored = capsys.readouterr().out
+    for name in ("model.json", "scaler.json", "pca.json"):
+        (out / f"svm_{name}").rename(out / f"moved_{name}")
+    assert run(["evaluate", "--model", out / "moved_model", "--data", data_dir]) == 0
+    assert capsys.readouterr().out == scored
+    assert run(["evaluate", "--model", out / "svm_model", "--data", data_dir]) == 3
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_evaluate_refuses_a_malformed_model(saved_runs, method, new_dir, tmp_path,
+                                            capsys):
+    out, _ = saved_runs["train", method]
+    for model in (out / method, out / f"{method}_model.json"):
+        assert run(["evaluate", "--model", model, "--data", new_dir]) == 3
+    if method != "cnn":
+        assert run(["emit-plots", "--cnn-model", out / f"{method}_model",
+                    "--data", new_dir, "--out", tmp_path / "plots"]) == 3
+    copy = shutil.copytree(out, tmp_path / "copy")
+    for payload in ({"kind": "nope"}, {"kind": method}, [method]):
+        (copy / f"{method}_model.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["evaluate", "--model", copy / f"{method}_model",
+                    "--data", new_dir]) == 3
+        assert str(copy / f"{method}_model") in capsys.readouterr().err
 
 
 def test_compare_subcommand(data_dir, tmp_path):
@@ -589,16 +703,6 @@ def test_train_cnn_matches_run_pipeline(tmp_path):
     for name in ("cnn_model.bin", "cnn_model.json", "cnn_channels.json",
                  "config.json"):
         assert (out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
-
-
-def test_evaluate_rejects_cnn_model_on_features(data_dir, tmp_path):
-    out = tmp_path / "cnn_feat"
-    assert run(["train", "cnn", "--data", data_dir, "--epochs", "1",
-                "--out", out]) == 0
-    features = tmp_path / "f.csv"
-    run(["transform", "--in", data_dir, "--out", features])
-    assert run(["evaluate", "--model", out / "cnn_model.json",
-                "--features", features]) == 3
 
 
 def _readme_commands():

@@ -158,6 +158,9 @@ def test_forward_rejects_incompatible_length(rng):
         model.forward(rng.standard_normal((1, 6, 20)))
     with pytest.raises(ValueError, match=r"channels"):
         model.forward(rng.standard_normal((1, 4, 300)))
+    for call in (model.forward, model.predict):
+        with pytest.raises(ValueError, match="B > 0"):
+            call(np.zeros((0, 6, 300)))
 
 
 @pytest.mark.parametrize("length", [290, 310])

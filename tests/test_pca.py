@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from wellmon import transforms
 from wellmon.base import NotFittedError
 from wellmon.dataset import generate, preset_config, window
 from wellmon.pca import PCA
 from wellmon.transforms import FeatureMatrix, transform_segments
+from wellmon.validation import as_float_matrix
 
 
 def test_normalized_uncorrelated_data_whitens(rng):
@@ -143,6 +145,23 @@ def test_errors():
         PCA(2).fit(np.random.default_rng(0).standard_normal((10, 3))).transform(
             np.zeros((2, 5))
         )
+
+
+def test_transform_rejects_bad_input(rng, monkeypatch):
+    # the scaler checks PCA.transform's input, in one pass over the values
+    model = PCA(2).fit(rng.standard_normal((10, 3)))
+    checks = []
+    monkeypatch.setattr(transforms, "as_float_matrix",
+                        lambda X: checks.append(X) or as_float_matrix(X))
+    model.transform(rng.standard_normal((4, 3)))
+    assert len(checks) == 1
+    for bad in (np.nan, np.inf):
+        X = rng.standard_normal((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            model.transform(X)
+    with pytest.raises(ValueError, match="expected 3 features, got 5"):
+        model.transform(rng.standard_normal((4, 5)))
 
 
 def test_json_roundtrip(tmp_path, rng):
