@@ -515,7 +515,8 @@ class CnnClassifier(BaseEstimator):
             tensors.append({"name": name, "shape": list(param.shape), "offset": offset})
             offset += param.size
             chunks.append(param.ravel())
-        np.concatenate(chunks).astype(np.float64).tofile(stem.with_suffix(".bin"))
+        # name + suffix: with_suffix would cut a dotted stem such as v1.2_model
+        np.concatenate(chunks).astype(np.float64).tofile(stem.parent / f"{stem.name}.bin")
         config = self.get_params()
         config["adam_betas"] = list(config["adam_betas"])
         config["conv_layers"] = [list(layer) for layer in config["conv_layers"]]
@@ -526,17 +527,17 @@ class CnnClassifier(BaseEstimator):
             "config": config,
             "tensors": tensors,
         }
-        stem.with_suffix(".json").write_text(json.dumps(manifest, indent=2) + "\n")
+        (stem.parent / f"{stem.name}.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     @classmethod
     def load(cls, stem):
         stem = Path(stem)
-        manifest = json.loads(stem.with_suffix(".json").read_text())
+        manifest = json.loads((stem.parent / f"{stem.name}.json").read_text())
         config = manifest["config"]
         config["adam_betas"] = tuple(config["adam_betas"])
         config["conv_layers"] = tuple(tuple(layer) for layer in config["conv_layers"])
         model = cls(**config)
-        flat = np.fromfile(stem.with_suffix(".bin"), dtype=np.float64)
+        flat = np.fromfile(stem.parent / f"{stem.name}.bin", dtype=np.float64)
         model.params_ = {}
         for spec_entry in manifest["tensors"]:
             shape = tuple(spec_entry["shape"])

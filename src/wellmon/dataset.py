@@ -14,7 +14,6 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .linalg import jacobi_eigh, sym_sqrt
 
@@ -201,6 +200,10 @@ def _generate_one(config, series_index, label):
 
     Draw order per series: initial state, innovations, sensor noise.
     """
+    # imported here, as generation alone needs it: scipy.signal takes about
+    # a second to import, which every other command would pay at start
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng((config.seed, series_index))
     n = config.series_len
     m = len(config.channel_names)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .validation import (
-    as_query_rows, check_X_y, cv_accuracy, require_both_classes,
+    as_query_rows, check_width, check_X_y, cv_accuracy, require_both_classes,
     stratified_kfold_indices,
 )
 
@@ -309,8 +309,13 @@ class DecisionTree(BaseEstimator):
     def predict(self, X):
         check_is_fitted(self, "root_")
         X, single = as_query_rows(X, self.n_features_in_)
-        labels = np.array([_route(self.root_, x).predicted for x in X], dtype=np.int64)
+        labels = self._predict_rows(X)
         return int(labels[0]) if single else labels
+
+    def _predict_rows(self, X):
+        """predict of 2-D float64 rows already screened finite."""
+        X = check_width(X, self.n_features_in_)
+        return np.array([_route(self.root_, x).predicted for x in X], dtype=np.int64)
 
     @property
     def depth_(self):

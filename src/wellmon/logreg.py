@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .validation import as_query_rows, check_X_y, require_both_classes
+from .validation import as_query_rows, check_width, check_X_y, require_both_classes
 
 
 def sigmoid(z):
@@ -130,22 +130,28 @@ class LogisticRegression(BaseEstimator):
             step = np.linalg.solve(H + 1e-10 * np.eye(d + 1), grad)
         return float(step[0]), step[1:]
 
-    def _scores(self, X):
+    def _query(self, X):
         check_is_fitted(self, "weights_")
-        X, single = as_query_rows(X, self.weights_.shape[0])
-        return self.intercept_ + X @ self.weights_, single
+        return as_query_rows(X, self.weights_.shape[0])
+
+    def _scores(self, X):
+        return self.intercept_ + check_width(X, self.weights_.shape[0]) @ self.weights_
 
     def predict_proba(self, X):
         """P(class 1) per row; a 1-D input returns a scalar."""
-        z, single = self._scores(X)
-        p = sigmoid(z)
+        X, single = self._query(X)
+        p = sigmoid(self._scores(X))
         return float(p[0]) if single else p
 
     def predict(self, X):
         """Class labels; ties at P = 0.5 go to 1 (broken)."""
-        z, single = self._scores(X)
-        labels = (z >= 0.0).astype(np.int64)
+        X, single = self._query(X)
+        labels = self._predict_rows(X)
         return int(labels[0]) if single else labels
+
+    def _predict_rows(self, X):
+        """predict of 2-D float64 rows already screened finite."""
+        return (self._scores(X) >= 0.0).astype(np.int64)
 
     def save(self, path):
         check_is_fitted(self, "weights_")

@@ -61,13 +61,16 @@ class PCA(BaseEstimator):
 
     def transform(self, X):
         check_is_fitted(self, "components_")
-        # the scaler checks the width and finiteness of the values
-        values = X.values if isinstance(X, FeatureMatrix) else X
-        projected = self.scaler_.transform(values) @ self.components_
+        values, _ = _matrix_values(X)
+        projected = self._apply(values)
         if isinstance(X, FeatureMatrix):
             names = tuple(f"PC{i + 1}" for i in range(self.n_components))
             return FeatureMatrix(projected, names, X.labels)
         return projected
+
+    def _apply(self, values):
+        """transform of a float64 matrix already screened finite."""
+        return self.scaler_._apply(values) @ self.components_
 
     def explained_variance_ratio(self):
         """eigenvalues / sum(eigenvalues) over the full spectrum."""

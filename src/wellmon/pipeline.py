@@ -185,9 +185,10 @@ class ClassicalPipeline:
         return self._projector().transform(self._features(segments))
 
     def predict(self, segments):
-        # one FeatureMatrix per call: the projector and estimator take arrays
+        # the call's one FeatureMatrix screens the rows finite, so the
+        # projector and estimator take them through their unscreened paths
         values = self._features(segments).values
-        return self.estimator.predict(self._projector().transform(values))
+        return self.estimator._predict_rows(self._projector()._apply(values))
 
     def describe(self):
         pca_part = f"+pca({self.pcs})" if self.pcs is not None else ""

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .validation import as_query_rows, check_X_y, require_both_classes
+from .validation import as_query_rows, check_width, check_X_y, require_both_classes
 
 ALPHA_SNAP = 1e-8
 TAU = 1e-12  # curvature floor for a flat pair direction (LIBSVM's TAU)
@@ -234,9 +234,13 @@ class SvmClassifier(BaseEstimator):
         """D(x) = sum_j y_j alpha_j K(x_j, x) + b."""
         check_is_fitted(self, "bias_")
         X, single = as_query_rows(X, self.support_vectors_.shape[1])
-        K = kernel_matrix(self.kernel, X, self.support_vectors_, self.gamma_)
-        d = K @ (self.alphas_ * self.support_labels_) + self.bias_
+        d = self._decisions(X)
         return float(d[0]) if single else d
+
+    def _decisions(self, X):
+        X = check_width(X, self.support_vectors_.shape[1])
+        K = kernel_matrix(self.kernel, X, self.support_vectors_, self.gamma_)
+        return K @ (self.alphas_ * self.support_labels_) + self.bias_
 
     def predict(self, X):
         """Label 1 iff D(x) >= 0 (ties to broken)."""
@@ -244,6 +248,10 @@ class SvmClassifier(BaseEstimator):
         if np.isscalar(d):
             return int(d >= 0.0)
         return (d >= 0.0).astype(np.int64)
+
+    def _predict_rows(self, X):
+        """predict of 2-D float64 rows already screened finite."""
+        return (self._decisions(X) >= 0.0).astype(np.int64)
 
     def training_kkt_violations(self, X, y):
         """KKT violation per training point; X, y must be the fit data."""

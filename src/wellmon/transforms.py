@@ -23,6 +23,15 @@ own BLAS call, and the covariances of all chunks go through one
 batch. Channel-major windows (a channel subset) and one-channel windows,
 whose samples numpy sums along memory, are kept in that order; see
 _sample_major_chunks.
+
+The pipelines that label the same windows in turn (logreg, dtree and svm
+on one feature set) share one computation: _feature_rows keeps the rows of
+its last call, keyed on (kind, window shape, window count, layout, the
+C-order bytes of each float64 window). A call whose key equals that one
+byte for byte gets a copy of the kept rows; any other call computes its
+own and replaces the entry, so at most one call's windows are held. The
+shape and sample-count checks run on every call, and a COV window that is
+not finite raises before anything is kept.
 """
 
 import csv
@@ -37,7 +46,9 @@ import numpy as np
 from .base import BaseEstimator, check_is_fitted
 from .dataset import labels_of
 from .linalg import sym_sqrt_batch
-from .validation import as_float_matrix, as_label_vector, check_symmetric, write_csv
+from .validation import (
+    as_float_matrix, as_label_vector, check_symmetric, check_width, write_csv,
+)
 
 CONSTANT_COLUMN_TOL = 1e-12
 CHUNK = 32
@@ -194,10 +205,21 @@ def cov_features(segment):
     return _feature_rows([segment], "cov")[0]
 
 
+# (key, rows) of the last _feature_rows call; see _feature_rows
+_last_rows = None
+
+
 def _feature_rows(segments, kind):
     """std_features or cov_features of every segment, computed on
     sample-major chunks of same-shape segments (one sym_sqrt_batch call
-    for cov)."""
+    for cov).
+
+    A call whose key (kind, window shape, count, layout and the C-order
+    bytes of each float64 window) equals the last call's, byte for byte,
+    gets a copy of that call's rows; any other call computes its rows and
+    replaces the entry.
+    """
+    global _last_rows
     samples = [np.asarray(s.samples, dtype=np.float64) for s in segments]
     shape = samples[0].shape
     for i, x in enumerate(samples):
@@ -205,20 +227,41 @@ def _feature_rows(segments, kind):
             raise ValueError(f"segment {i} has shape {x.shape}; expected {shape}")
     if shape[0] < 2:
         raise ValueError(f"segment needs >= 2 samples, got {shape[0]}")
-    chunks = _sample_major_chunks(samples)
+    layout = _layout(samples[0])
+    # bytes == stops at the first differing byte, so a miss costs the key
+    key = (kind, shape, len(samples), layout, tuple(x.tobytes() for x in samples))
+    last = _last_rows
+    if last is not None and last[0] == key:
+        return last[1].copy()
+    _last_rows = None  # hold at most one call's windows
+    rows = _computed_rows(samples, kind, layout)
+    _last_rows = (key, rows)
+    return rows.copy()
+
+
+def _computed_rows(samples, kind, layout):
+    chunks = _sample_major_chunks(samples, layout)
     # an inf sample centers to inf - inf = NaN; the finiteness screens
     # downstream raise for it, so numpy's warning would only repeat them
     with np.errstate(invalid="ignore"):
         if kind == "std":
             return np.concatenate([np.std(chunk, axis=0, ddof=1) for chunk in chunks])
         sigmas = np.concatenate([_covariances(chunk) for chunk in chunks])
-    rows, cols = _triangle(shape[1])
+    rows, cols = _triangle(samples[0].shape[1])
     # fancy indexing here yields Fortran order; the rows go back to C order,
     # because the column sums of the standardizer round by memory layout
     return np.ascontiguousarray(sym_sqrt_batch(sigmas)[:, rows, cols])
 
 
-def _sample_major_chunks(samples):
+def _layout(window):
+    """How _sample_major_chunks stacks windows laid out like this one."""
+    if window.shape[1] == 1:
+        return "one-channel"
+    sample_stride, channel_stride = (abs(step) for step in window.strides)
+    return "channel-major" if sample_stride < channel_stride else "row-major"
+
+
+def _sample_major_chunks(samples, layout):
     """(n_w, <=CHUNK, m) stacks of consecutive windows, samples first.
 
     Row-major windows are copied sample-major. Channel-major windows (a
@@ -227,15 +270,12 @@ def _sample_major_chunks(samples):
     run along memory, as on the window-major stack numpy builds for them,
     so each row keeps that stack's bits.
     """
-    first = samples[0]
-    sample_stride, channel_stride = (abs(step) for step in first.strides)
-    channel_major = first.shape[1] == 1 or sample_stride < channel_stride
     for start in range(0, len(samples), CHUNK):
         part = samples[start:start + CHUNK]
-        if channel_major:
-            yield np.stack([x.T for x in part]).transpose(2, 0, 1)
-        else:
+        if layout == "row-major":
             yield np.stack(part, axis=1)
+        else:
+            yield np.stack([x.T for x in part]).transpose(2, 0, 1)
 
 
 def transform_segments(segments, kind, channel_names=None):
@@ -287,14 +327,14 @@ class Standardizer(BaseEstimator):
     def transform(self, X):
         check_is_fitted(self, "mean_")
         values, _ = _matrix_values(X)
-        if values.shape[1] != self.mean_.shape[0]:
-            raise ValueError(
-                f"expected {self.mean_.shape[0]} features, got {values.shape[1]}"
-            )
-        out = (values - self.mean_) / self.std_
+        out = self._apply(values)
         if isinstance(X, FeatureMatrix):
             return X.with_values(out)
         return out
+
+    def _apply(self, values):
+        """transform of a float64 matrix already screened finite."""
+        return (check_width(values, self.mean_.shape[0]) - self.mean_) / self.std_
 
     def save(self, path):
         check_is_fitted(self, "mean_")

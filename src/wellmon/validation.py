@@ -34,12 +34,17 @@ def as_query_rows(X, n_features):
     """
     X = np.asarray(X, dtype=np.float64)
     single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != n_features:
-        raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
+    X = check_width(np.atleast_2d(X), n_features)
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite entries")
     return X, single
+
+
+def check_width(X, n_features):
+    """X itself, if its rows hold n_features columns."""
+    if X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
+    return X
 
 
 def as_label_vector(y, name="y"):

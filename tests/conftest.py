@@ -1,7 +1,29 @@
 import numpy as np
 import pytest
 
+from wellmon import transforms
 from wellmon.dataset import Label, Segment
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_rows():
+    """Each test starts without the rows of another test's last transform,
+    so tests that count sym_sqrt_batch calls see every call they make."""
+    transforms._last_rows = None
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """The stack size of each transforms.sym_sqrt_batch call, in order."""
+    calls = []
+    batch = transforms.sym_sqrt_batch
+
+    def counting(mats, *args, **kwargs):
+        calls.append(len(mats))
+        return batch(mats, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "sym_sqrt_batch", counting)
+    return calls
 
 
 def make_segment(samples, label=Label.INTACT, source_index=0, window_index=0):

@@ -1,13 +1,17 @@
 import csv
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wellmon
 from wellmon import cli, dataset
 from wellmon.cli import main
 from wellmon.cnn import CnnClassifier, random_search
@@ -25,6 +29,19 @@ COMMON = ["--n-per-class", "2", "--len", "1501", "--seed", "0"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_cli_starts_without_scipy_signal():
+    # only generation filters with scipy.signal, whose import takes about a
+    # second, so the other commands start without it
+    src = str(Path(wellmon.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import wellmon.cli, sys; assert 'scipy.signal' not in sys.modules"],
+        env=env, check=True, timeout=120,
+    )
 
 
 @pytest.fixture(scope="module")

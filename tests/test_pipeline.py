@@ -18,6 +18,8 @@ from wellmon.pipeline import (
     emit_cnn_embedding,
     emit_feature_scatter,
     emit_pca_ratios,
+    generate_series,
+    load_run,
     prepare_segments,
     run_compare,
     run_pipeline,
@@ -181,6 +183,76 @@ def test_classical_predict_rejects_non_finite_samples(rng, method, transform):
                     pipeline.predict(windows)
                 with pytest.raises(ValueError, match="non-finite"):
                     pipeline.predict([windows[index]])
+
+
+def _three_pipelines(segments, transform, pcs=None):
+    cfg = PipelineConfig(transform=transform, pcs=pcs)
+    return [
+        build_pipeline(cfg, method).fit(segments) for method in ("logreg", "dtree", "svm")
+    ]
+
+
+@pytest.mark.parametrize("transform", ["std", "cov"])
+def test_non_finite_window_raises_on_every_call(rng, transform):
+    # a STD row of a NaN window is remembered, a COV one never is; either
+    # way each pipeline's screen sees it on every call
+    segments = random_segments(rng, 40, separated=True)
+    pipelines = _three_pipelines(segments, transform, pcs=3)
+    for bad in (np.nan, np.inf):
+        windows = [make_segment(s.samples.copy()) for s in segments]
+        windows[35].samples[7, 2] = bad
+        for _ in range(2):
+            for pipeline in pipelines:
+                with pytest.raises(ValueError, match="non-finite"):
+                    pipeline.predict(windows)
+        # and the clean windows after them still get their own rows
+        logreg = pipelines[0]
+        expected = logreg.estimator.predict(logreg.project(segments).values)
+        assert np.array_equal(logreg.predict(segments), expected)
+
+
+def test_pipelines_in_turn_share_one_cov_transform(rng, root_calls):
+    segments = random_segments(rng, 480, separated=True)
+    pipelines = _three_pipelines(segments[:40], "cov", pcs=4)
+    calls = root_calls
+    calls.clear()  # the fits' own calls
+    labels = [pipeline.predict(segments) for pipeline in pipelines]
+    assert calls == [480]
+    # a stream that labels each window with all three before the next
+    # arrives transforms each window once
+    calls.clear()
+    streamed = [[pipe.predict([s])[0] for pipe in pipelines] for s in segments[:20]]
+    assert calls == [1] * 20
+    assert np.array_equal(np.array(streamed).T, np.array(labels)[:, :20])
+    # one pipeline over alternating windows misses on every call
+    calls.clear()
+    for segment in segments[:2] * 10:
+        pipelines[0].predict([segment])
+    assert calls == [1] * 20
+
+
+@pytest.mark.parametrize("transform, pcs", [("std", None), ("cov", 3)])
+def test_one_finiteness_pass_per_classical_predict(rng, monkeypatch, transform, pcs):
+    segments = random_segments(rng, 40, separated=True)
+    pipelines = _three_pipelines(segments, transform, pcs)
+    isfinite = np.isfinite
+    calls = []
+    monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+    for pipeline in pipelines:
+        calls.clear()
+        pipeline.predict(segments[:1])
+        assert len(calls) == 1, pipeline.name
+
+
+def test_cnn_under_a_dotted_stem_loads(tmp_path):
+    # a dot in the stem is part of the name, not the start of a suffix
+    cfg = tiny_config(method="cnn", method_params={"epochs": 1, "learning_rate": 1e-3})
+    series_set = generate_series(cfg)
+    _, pipeline = run_pipeline(cfg, tmp_path, series_set)
+    pipeline.save(tmp_path, "v1.2")
+    assert (tmp_path / "v1.2_model.json").exists() and (tmp_path / "v1.2_model.bin").exists()
+    loaded, segments = load_run(tmp_path / "v1.2_model", series_set)
+    assert np.array_equal(loaded.predict(segments), pipeline.predict(segments))
 
 
 def test_cnn_pipeline_fit_predict():

@@ -233,18 +233,11 @@ def test_transform_segments_std_and_cov(rng):
         transform_segments(segments, "fft")
 
 
-def test_cov_path_is_one_batch_of_one_shape(rng, monkeypatch):
+def test_cov_path_is_one_batch_of_one_shape(rng, root_calls):
     # one sym_sqrt_batch call per transform, rows kept in order, and each
     # row equal to the one-segment call; std rows likewise. Segments of
     # mixed shape are refused, as one run cuts windows of one length
-    calls = []
-    batch = transforms.sym_sqrt_batch
-
-    def counting(mats, *args, **kwargs):
-        calls.append(len(mats))
-        return batch(mats, *args, **kwargs)
-
-    monkeypatch.setattr(transforms, "sym_sqrt_batch", counting)
+    calls = root_calls
     segments = random_segments(rng, 5, n_w=30, m=3)
     values = transform_segments(segments, "cov").values
     assert calls == [5]
@@ -309,7 +302,7 @@ _LAYOUTS = {
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
-def test_chunked_rows_match_one_window_rows(rng, count, layout, monkeypatch):
+def test_chunked_rows_match_one_window_rows(rng, count, layout, root_calls):
     # batches that end inside, at and past a chunk edge: every row has the
     # bits of its one-window call and of the window-major formula, and the
     # covariances of all chunks share one sym_sqrt_batch call
@@ -317,14 +310,7 @@ def test_chunked_rows_match_one_window_rows(rng, count, layout, monkeypatch):
     draws = rng.standard_normal((count, 300, 6)) * rng.uniform(0.1, 10.0, 6)
     windows = [_LAYOUTS[layout](w) for w in draws]
     segments = [make_segment(w) for w in windows]
-    calls = []
-    batch = transforms.sym_sqrt_batch
-
-    def counting(mats, *args, **kwargs):
-        calls.append(len(mats))
-        return batch(mats, *args, **kwargs)
-
-    monkeypatch.setattr(transforms, "sym_sqrt_batch", counting)
+    calls = root_calls
     for kind, one_window in (("std", std_features), ("cov", cov_features)):
         calls.clear()
         values = transform_segments(segments, kind).values
@@ -332,6 +318,69 @@ def test_chunked_rows_match_one_window_rows(rng, count, layout, monkeypatch):
         for i, window in enumerate(windows):
             assert values[i].tobytes() == one_window(segments[i]).tobytes()
             assert values[i].tobytes() == _window_major_row(window, kind).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["std", "cov"])
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("count", [1, 32, 33])
+def test_remembered_rows_are_the_computed_rows(rng, count, layout, kind):
+    # a second call on the same windows is answered from the last call's
+    # entry, with the bits a fresh computation gives
+    draws = rng.standard_normal((count, 300, 6)) * rng.uniform(0.1, 10.0, 6)
+    segments = [make_segment(_LAYOUTS[layout](w)) for w in draws]
+    first = transforms._feature_rows(segments, kind)
+    entry = transforms._last_rows
+    again = transforms._feature_rows(segments, kind)
+    assert entry is not None and transforms._last_rows is entry
+    transforms._last_rows = None
+    fresh = transforms._feature_rows(segments, kind)
+    assert again.tobytes() == first.tobytes() == fresh.tobytes()
+    assert again.flags.c_contiguous and fresh.flags.c_contiguous
+
+
+def test_window_changed_in_place_is_recomputed(rng, root_calls):
+    calls = root_calls
+    windows = [rng.standard_normal((300, 6)) for _ in range(33)]
+    windows[32][5, 1] = 0.0
+    segments = [make_segment(w) for w in windows]
+    first = transforms._feature_rows(segments, "cov")
+    segments[32].samples[7, 4] += 1.0
+    changed = transforms._feature_rows(segments, "cov")
+    assert calls == [33, 33]
+    assert changed[:32].tobytes() == first[:32].tobytes()
+    assert changed[32].tobytes() != first[32].tobytes()
+    # a zero's sign is a different byte, so flipping it misses too
+    segments[32].samples[5, 1] = -0.0
+    flipped = transforms._feature_rows(segments, "cov")
+    assert calls == [33, 33, 33]
+    transforms._last_rows = None
+    assert flipped.tobytes() == transforms._feature_rows(segments, "cov").tobytes()
+
+
+def test_writes_into_returned_rows_do_not_reach_the_next_hit(rng):
+    segments = random_segments(rng, 5)
+    for kind in ("std", "cov"):
+        rows = transforms._feature_rows(segments, kind)
+        kept = rows.copy()
+        for _ in range(2):  # rows of the computing call, then of a hit
+            rows[:] = 7.0
+            rows = transforms._feature_rows(segments, kind)
+            assert rows.tobytes() == kept.tobytes()
+
+
+def test_same_bytes_in_another_layout_miss(rng, root_calls):
+    # the layout decides how the window's samples are summed, so a
+    # channel-major copy of the same values is its own key
+    calls = root_calls
+    window = rng.standard_normal((300, 6))
+    row_major = [make_segment(window)]
+    channel_major = [make_segment(np.asfortranarray(window))]
+    assert window.tobytes() == channel_major[0].samples.tobytes()
+    transforms._feature_rows(row_major, "cov")
+    rows = transforms._feature_rows(channel_major, "cov")
+    assert calls == [1, 1]
+    transforms._last_rows = None
+    assert rows.tobytes() == transforms._feature_rows(channel_major, "cov").tobytes()
 
 
 # ---------------------------------------------------------------------------
