@@ -17,7 +17,7 @@ from .baseline import MonitorConfig, monitor, read_lines_csv, write_lines_csv
 from .cnn import (
     ACTIVATIONS, SEARCHED_PARAMS, SearchSpace, TrainingDivergedError, random_search,
 )
-from .dtree import PRE_PRUNING_GRIDS, grid_search, post_pruning_alpha
+from .dtree import PRE_PRUNING_GRIDS, cv_ccp_alpha, grid_search
 from .evaluation import format_table, reports_to_csv, score_predictions
 from .pca import PCA
 from .pipeline import (
@@ -109,7 +109,8 @@ def _add_method_parsers(train):
     p.add_argument("--prune", choices=("none", "pre", "post"), default="none")
     p.add_argument("--ccp-alpha", type=float)
     p.add_argument("--max-depth", type=int)
-    p.add_argument("--k-folds", type=int, default=5, help="CV folds of --prune pre")
+    p.add_argument("--k-folds", type=int, default=5,
+                   help="CV folds of --prune pre and post")
 
     p = method_parser("svm")
     p.add_argument("--kernel", choices=("linear", "rbf"))
@@ -259,7 +260,7 @@ def cmd_pca(args):
 
 
 def cmd_baseline(args):
-    stem = Path(args.in_csv).with_suffix("")
+    stem = Path(args.in_csv.removesuffix(".csv"))
     try:
         series, _, _, _ = dataset_mod.load_series(stem)
     except FileNotFoundError as exc:
@@ -316,9 +317,11 @@ def cmd_train(args):
         print(f"pre-pruning grid search: {tuned} (cv accuracy {score:.4f})")
     if (cfg.method == "dtree" and args.prune == "post"
             and "ccp_alpha" not in cfg.method_params):
-        tuned = {"ccp_alpha": post_pruning_alpha(
-            _grid_key(cfg), estimator.criterion, cfg.noise
-        )}
+        features = pipeline.fit_project(train)
+        alpha, score = cv_ccp_alpha(features.values, features.labels,
+                                    estimator.criterion, args.k_folds, seed=cfg.seed)
+        tuned = {"ccp_alpha": alpha}
+        print(f"post-pruning cv: ccp_alpha {alpha:.6g} (cv accuracy {score:.4f})")
     if cfg.method == "cnn" and args.trials > 0:
         # trials are scored on a stratified validation fold of train; the
         # test windows stay unseen until the final report

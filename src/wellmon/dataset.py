@@ -390,7 +390,7 @@ def save_series(series, label, noise_level, seed, stem):
     stem = Path(stem)
     header = ",".join(series.channel_names)
     np.savetxt(
-        stem.with_suffix(".csv"),
+        stem.parent / f"{stem.name}.csv",
         series.samples,
         delimiter=",",
         header=header,
@@ -403,17 +403,17 @@ def save_series(series, label, noise_level, seed, stem):
         "sample_rate_hz": float(series.sample_rate_hz),
         "seed": int(seed),
     }
-    stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    (stem.parent / f"{stem.name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_series(stem):
     """Read one series written by save_series. Returns (series, label, noise, seed)."""
     stem = Path(stem)
-    csv_path = stem.with_suffix(".csv")
+    csv_path = stem.parent / f"{stem.name}.csv"
     with open(csv_path) as fh:
         channel_names = tuple(fh.readline().strip().split(","))
     samples = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    sidecar = json.loads(stem.with_suffix(".json").read_text())
+    sidecar = json.loads((stem.parent / f"{stem.name}.json").read_text())
     series = MultivariateSeries(
         samples, sidecar["sample_rate_hz"], channel_names
     )

@@ -10,9 +10,11 @@ counts (CART, Breiman et al. 1984). gini and entropy of one node are the
 one-row case of those array expressions, so a node's impurity and its
 candidate children's share one arithmetic. Post-pruning is weakest-link
 cost-complexity pruning with R = total weighted misclassification rate.
+Both prunings tune by k-fold CV on training rows: grid_search, cv_ccp_alpha.
 """
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -367,6 +369,11 @@ class PruningPath:
     def entries(self):
         return list(zip(self.alphas, self.node_counts, self.depths))
 
+    def tree_at(self, alpha):
+        """The tree after every collapse whose alpha is below alpha; for
+        alpha > 0 that is prune_tree(trees[0], alpha)."""
+        return self.trees[bisect_left(self.alphas, alpha, lo=1) - 1]
+
 
 def _leaf_risk(node, n_total):
     """Weighted misclassification rate of the node collapsed to a leaf."""
@@ -459,7 +466,7 @@ def _retabulate(root, X, y):
 
 
 # ---------------------------------------------------------------------------
-# pre-pruning grid search
+# tuning by cross-validation on the training rows
 # ---------------------------------------------------------------------------
 
 # hyperparameter ranges used for pre-pruning, per transform and criterion
@@ -477,21 +484,6 @@ PRE_PRUNING_GRIDS = {
     ("cov_pca4", "gini"): {"max_depth": range(2, 9), "min_samples_split": range(2, 5),
                            "min_samples_leaf": range(1, 3)},
 }
-
-
-def post_pruning_alpha(transform, criterion, noise_level=1):
-    """Preset cost-complexity alphas for post-pruning."""
-    presets = {
-        ("std", "entropy"): 0.003,
-        ("std", "gini"): 0.002,
-        ("cov", "entropy"): 0.01,
-        ("cov", "gini"): 0.003,
-        ("cov_pca4", "entropy"): 0.01,
-        ("cov_pca4", "gini"): 0.003,
-    }
-    if (transform, criterion) == ("cov_pca4", "entropy") and noise_level == 50:
-        return 0.003
-    return presets[(transform, criterion)]
 
 
 def grid_search(X, y, criterion, grid, k_folds, seed=0):
@@ -527,3 +519,33 @@ def grid_search(X, y, criterion, grid, k_folds, seed=0):
             best_key = key
             best = (params, score)
     return best
+
+
+def cv_ccp_alpha(X, y, criterion, k_folds, seed=0):
+    """Post-pruning alpha by stratified k-fold CV mean accuracy, as CART
+    chooses it (Breiman et al. 1984, ch. 3).
+
+    Candidates are the geometric midpoints of consecutive distinct alphas
+    on the pruning path of the tree grown on all of (X, y); the first is 0,
+    the unpruned tree. Each fold grows one tree and takes its path once. A
+    candidate's tree is the path's tree after every collapse whose alpha
+    is below the candidate, which is what prune_tree(fold_root, candidate)
+    gives, so no candidate is refit. Ties go to the larger alpha, the
+    smaller tree. Returns (alpha, cv_accuracy).
+    """
+    X, y = check_X_y(X, y)
+    folds = stratified_kfold_indices(y, k_folds, seed)
+    alphas = np.unique(ccp_path(DecisionTree(criterion).fit(X, y), X, y).alphas)
+    candidates = np.r_[0.0, np.sqrt(alphas[1:-1] * alphas[2:])]
+    scores = np.empty((len(folds), len(candidates)))
+    for f, (train_idx, test_idx) in enumerate(folds):
+        fold_tree = DecisionTree(criterion).fit(X[train_idx], y[train_idx])
+        path = ccp_path(fold_tree, X[train_idx], y[train_idx])
+        for c, alpha in enumerate(candidates):
+            tree = path.tree_at(alpha)
+            pred = np.array([_route(tree, x).predicted for x in X[test_idx]])
+            scores[f, c] = np.mean(pred == y[test_idx])
+    # averaged one column at a time, in the order cv_accuracy sums its folds
+    means = [float(np.mean(column)) for column in scores.T]
+    best = max(range(len(candidates)), key=lambda c: (means[c], c))
+    return float(candidates[best]), means[best]

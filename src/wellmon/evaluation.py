@@ -112,24 +112,26 @@ def score_predictions(method, pred, truth, train_time_ms=0.0, test_time_ms=0.0,
 
 
 def compare(pipelines, train_segments, test_segments):
-    """Fit and evaluate each pipeline on the same split.
-
-    Train and test time are each one wall-clock measurement, around fit and
-    around the one predict call on the test windows. Pipelines run
-    sequentially so timings are uncontended.
+    """Fit every pipeline on the same split, then predict with each: all fits
+    come first, so the classical pipelines share one feature transform of
+    each window set. Train and test time are each one wall-clock
+    measurement, around fit and around the one predict call on the test
+    windows; pipelines run in turn, so timings are uncontended.
     """
-    truth = labels_of(test_segments)
-    reports = []
+    train_ms = []
     for pipeline in pipelines:
         start = time.perf_counter()
         pipeline.fit(train_segments)
-        train_ms = (time.perf_counter() - start) * 1e3
+        train_ms.append((time.perf_counter() - start) * 1e3)
+    truth = labels_of(test_segments)
+    reports = []
+    for pipeline, fit_ms in zip(pipelines, train_ms):
         start = time.perf_counter()
         pred = pipeline.predict(test_segments)
         test_ms = (time.perf_counter() - start) * 1e3
         reports.append(
             score_predictions(
-                pipeline.name, pred, truth, train_ms, test_ms,
+                pipeline.name, pred, truth, fit_ms, test_ms,
                 config=pipeline.describe(),
             )
         )

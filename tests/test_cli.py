@@ -15,7 +15,7 @@ import wellmon
 from wellmon import cli, dataset
 from wellmon.cli import main
 from wellmon.cnn import CnnClassifier, random_search
-from wellmon.dtree import PRE_PRUNING_GRIDS, grid_search
+from wellmon.dtree import PRE_PRUNING_GRIDS, cv_ccp_alpha, grid_search
 from wellmon.evaluation import score_predictions
 from wellmon.pipeline import (
     METHODS, PipelineConfig, build_pipeline, load_run, prepare_segments,
@@ -103,6 +103,16 @@ def test_baseline_subcommand(tmp_path):
     rows = lines_csv.read_text().splitlines()
     assert rows[0] == "window_start,beta0,beta1"
     assert len(rows) == 1 + 3  # 12 - 10 + 1 lines
+    # a dot in the file name is part of the stem: a v1.2_ copy of the same
+    # series writes the same lines
+    for suffix in ("csv", "json"):
+        shutil.copy(tmp_path / "bl" / f"series_0000.{suffix}",
+                    tmp_path / "bl" / f"v1.2_run.{suffix}")
+    dotted_csv = tmp_path / "dotted_lines.csv"
+    assert run(["baseline", "--x", "accx_FJ", "--y", "bmx", "--window", "10",
+                "--step", "1", "--in", tmp_path / "bl" / "v1.2_run.csv",
+                "--out", dotted_csv]) == 0
+    assert dotted_csv.read_text() == lines_csv.read_text()
 
 
 def test_train_logreg(data_dir, tmp_path):
@@ -122,6 +132,36 @@ def test_train_dtree_post_prune(data_dir, tmp_path):
     assert code == 0
     payload = json.loads((out / "dtree_model.json").read_text())
     assert payload["criterion"] == "entropy"
+
+
+def test_post_prune_alpha_comes_from_the_training_windows(tmp_path):
+    # noise-50 series, where the alphas once keyed by --noise 1 and 50 gave
+    # different trees: the typed --noise, which a --data run cannot check,
+    # no longer picks the alpha
+    data = tmp_path / "noise50"
+    assert run(["generate", "--n-per-class", "3", "--len", "3601", "--seed", "1",
+                "--noise", "50", "--out", data]) == 0
+    models = []
+    for noise in ("1", "50"):
+        out = tmp_path / f"typed{noise}"
+        assert run(["train", "dtree", "--data", data, "--noise", noise, "--pcs", "4",
+                    "--criterion", "entropy", "--prune", "post", "--out", out]) == 0
+        models.append((out / "dtree_model.json").read_bytes())
+    assert models[0] == models[1]
+    # the recorded alpha is the CV choice on the projected train features
+    cfg = PipelineConfig.from_json((out / "config.json").read_text())
+    train, _, channel_names = prepare_segments(cfg, dataset.load_series_set(data))
+    features = build_pipeline(cfg, channel_names=channel_names).fit_project(train)
+    alpha, _ = cv_ccp_alpha(features.values, features.labels, "entropy", 5, seed=cfg.seed)
+    assert cfg.method_params == {"criterion": "entropy", "ccp_alpha": alpha}
+
+
+@pytest.mark.parametrize("prune", ["pre", "post"])
+def test_prune_with_fewer_windows_per_class_than_folds_exits_3(
+        prune, data_dir, tmp_path, capsys):
+    assert run(["train", "dtree", "--data", data_dir, "--prune", prune,
+                "--k-folds", "50", "--out", tmp_path / "o"]) == 3
+    assert "fewer than k=50 folds" in capsys.readouterr().err
 
 
 def test_train_dtree_pre_prune(data_dir, tmp_path):
@@ -200,6 +240,7 @@ def test_train_cnn_with_random_search(data_dir, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["dtree", "--prune", "pre", "--k-folds", "2"],
     ["cnn", "--trials", "1", "--epochs", "1"],
+    ["dtree", "--prune", "post", "--k-folds", "2"],
 ])
 def test_train_with_tuning_prepares_data_once(argv, tmp_path, monkeypatch):
     calls = {"generate": 0, "window": 0, "split": 0}

@@ -7,14 +7,15 @@ from wellmon.dtree import (
     PRE_PRUNING_GRIDS,
     PruningPath,
     ccp_path,
+    cv_ccp_alpha,
     entropy,
     gini,
     grid_search,
     info_gain,
-    post_pruning_alpha,
     prune_tree,
     weighted_child_impurity,
 )
+from wellmon.validation import cv_accuracy, stratified_kfold_indices
 
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_Y = np.array([0, 0, 1, 1])
@@ -496,13 +497,81 @@ def test_criteria_agree_on_surrogate_features():
     assert abs(accs["gini"] - accs["entropy"]) < 0.03
 
 
-def test_post_pruning_alpha_presets():
-    assert post_pruning_alpha("std", "entropy") == 0.003
-    assert post_pruning_alpha("std", "gini") == 0.002
-    assert post_pruning_alpha("cov", "entropy") == 0.01
-    assert post_pruning_alpha("cov", "gini") == 0.003
-    assert post_pruning_alpha("cov_pca4", "entropy") == 0.01
-    assert post_pruning_alpha("cov_pca4", "entropy", noise_level=50) == 0.003
+def _noisy_threshold_data(rng, decimals=None, n=80):
+    X = rng.standard_normal((n, 3))
+    y = (X[:, 0] + 0.5 * X[:, 1] > 0.1).astype(int)
+    y[rng.random(n) < 0.2] ^= 1  # label noise so the path has many alphas
+    # rounded, equal rows carry both labels: impure leaves, whose parents
+    # collapse at alpha 0
+    return (X if decimals is None else np.round(X, decimals)), y
+
+
+def _candidates(X, y, criterion):
+    """The geometric midpoints of the full tree's distinct path alphas."""
+    full = DecisionTree(criterion).fit(X, y)
+    alphas = np.unique(ccp_path(full, X, y).alphas)
+    return np.sqrt(alphas[:-1] * alphas[1:])
+
+
+@pytest.mark.parametrize("decimals", [None, 0])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_path_lookup_is_prune_tree_on_every_fold(rng, criterion, decimals):
+    X, y = _noisy_threshold_data(rng, decimals)
+    candidates = _candidates(X, y, criterion)
+    assert candidates[0] == 0.0 and len(candidates) > 3
+    for train_idx, _ in stratified_kfold_indices(y, 5, seed=0):
+        fold_tree = DecisionTree(criterion).fit(X[train_idx], y[train_idx])
+        path = ccp_path(fold_tree, X[train_idx], y[train_idx])
+        for alpha in candidates:
+            expected = prune_tree(fold_tree.root_, alpha)
+            assert path.tree_at(alpha).to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("decimals", [None, 0])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_cv_ccp_alpha_is_the_refit_cv_choice(rng, criterion, decimals):
+    # scoring each candidate's path tree gives the same fold accuracies as
+    # refitting DecisionTree(ccp_alpha=candidate) on every fold
+    X, y = _noisy_threshold_data(rng, decimals)
+    folds = stratified_kfold_indices(y, 5, seed=3)
+    candidates = _candidates(X, y, criterion)
+    scores = [
+        cv_accuracy(lambda: DecisionTree(criterion, ccp_alpha=alpha), X, y, folds)
+        for alpha in candidates
+    ]
+    best = max(range(len(scores)), key=lambda c: (scores[c], c))
+    alpha, score = cv_ccp_alpha(X, y, criterion, 5, seed=3)
+    assert (alpha, score) == (candidates[best], scores[best])
+    assert cv_ccp_alpha(X, y, criterion, 5, seed=3) == (alpha, score)
+
+
+def test_cv_ccp_alpha_ties_go_to_the_larger_alpha(rng):
+    # one class-1 outlier far out on feature 1 inside class 0's range:
+    # the split that isolates it never moves a held-out prediction, so the
+    # unpruned tree and the tree without that split tie on every fold
+    X = np.concatenate([
+        np.c_[rng.uniform(-2, -1, 20), rng.uniform(0, 1, 20)],
+        np.c_[rng.uniform(1, 2, 20), rng.uniform(0, 1, 20)],
+        [[-1.5, 10.0]],
+    ])
+    y = np.array([0] * 20 + [1] * 21)
+    candidates = _candidates(X, y, "gini")
+    assert len(candidates) == 2
+    alpha, score = cv_ccp_alpha(X, y, "gini", 3, seed=0)
+    folds = stratified_kfold_indices(y, 3, seed=0)
+    unpruned = cv_accuracy(lambda: DecisionTree("gini"), X, y, folds)
+    assert score == unpruned
+    assert alpha == candidates[1] > 0
+    assert DecisionTree("gini", ccp_alpha=alpha).fit(X, y).n_nodes_ == 3
+
+
+def test_cv_ccp_alpha_requires_enough_per_class():
+    X = np.arange(6.0)[:, None]
+    y = np.array([0, 0, 0, 0, 1, 1])
+    with pytest.raises(ValueError, match="fewer than"):
+        cv_ccp_alpha(X, y, "gini", 3)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        cv_ccp_alpha(X, y, "gini", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -312,12 +312,17 @@ def _report_without_timing(path):
     return [[row[i] for i in keep] for row in rows]
 
 
-def test_run_compare_all_methods(tmp_path):
+def test_run_compare_all_methods(tmp_path, root_calls):
     cfg = tiny_config(
+        series_len=3601,  # 12 windows a series: 38 train, 10 test
         method_params={"cnn": {"epochs": 2, "learning_rate": 1e-3}},
     )
     reports, pipelines = run_compare(cfg, tmp_path / "cmp")
     assert [r.method for r in reports] == ["logreg", "dtree", "svm", "cnn"]
+    # every fit runs before the first predict, so the three classical
+    # pipelines share one COV transform of the train windows and one of
+    # the test windows
+    assert root_calls == [38, 10]
     table = (tmp_path / "cmp" / "report.txt").read_text()
     assert "logreg" in table and "cnn" in table
     assert (tmp_path / "cmp" / "cnn_model.bin").exists()
