@@ -154,7 +154,6 @@ def build_parser():
     p.add_argument("--in", dest="in_csv", required=True)
     p.add_argument("--pcs", type=int, required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--apply", help="also write the projected features here")
     p.set_defaults(handler=cmd_pca)
 
     p = sub.add_parser("baseline", argument_default=SUPPRESS, allow_abbrev=False,
@@ -253,8 +252,6 @@ def cmd_pca(args):
     features = FeatureMatrix.from_csv(args.in_csv)
     model = PCA(args.pcs).fit(features)
     model.save(args.out)
-    if args.apply:
-        model.transform(features).to_csv(args.apply)
     print(f"wrote PCA model ({args.pcs} components) to {args.out}")
     return EXIT_OK
 
@@ -318,8 +315,13 @@ def cmd_train(args):
     if (cfg.method == "dtree" and args.prune == "post"
             and "ccp_alpha" not in cfg.method_params):
         features = pipeline.fit_project(train)
-        alpha, score = cv_ccp_alpha(features.values, features.labels,
-                                    estimator.criterion, args.k_folds, seed=cfg.seed)
+        # the alpha is tuned on trees grown with the limits of the tree it prunes
+        alpha, score = cv_ccp_alpha(
+            features.values, features.labels, estimator.criterion, args.k_folds,
+            seed=cfg.seed, max_depth=estimator.max_depth,
+            min_samples_split=estimator.min_samples_split,
+            min_samples_leaf=estimator.min_samples_leaf,
+        )
         tuned = {"ccp_alpha": alpha}
         print(f"post-pruning cv: ccp_alpha {alpha:.6g} (cv accuracy {score:.4f})")
     if cfg.method == "cnn" and args.trials > 0:

@@ -15,14 +15,16 @@ import wellmon
 from wellmon import cli, dataset
 from wellmon.cli import main
 from wellmon.cnn import CnnClassifier, random_search
-from wellmon.dtree import PRE_PRUNING_GRIDS, cv_ccp_alpha, grid_search
+from wellmon.dtree import (
+    PRE_PRUNING_GRIDS, DecisionTree, ccp_path, cv_ccp_alpha, grid_search,
+)
 from wellmon.evaluation import score_predictions
 from wellmon.pipeline import (
     METHODS, PipelineConfig, build_pipeline, load_run, prepare_segments,
     run_compare, run_pipeline, window_segments,
 )
 from wellmon.transforms import transform_segments
-from wellmon.validation import stratified_kfold_indices
+from wellmon.validation import cv_accuracy, stratified_kfold_indices
 
 COMMON = ["--n-per-class", "2", "--len", "1501", "--seed", "0"]
 
@@ -81,14 +83,11 @@ def test_pca_subcommand(data_dir, tmp_path):
     features = tmp_path / "f.csv"
     run(["transform", "--in", data_dir, "--transform", "cov", "--out", features])
     model = tmp_path / "pca.json"
-    projected = tmp_path / "projected.csv"
-    code = run(["pca", "--in", features, "--pcs", "4", "--out", model,
-                "--apply", projected])
+    code = run(["pca", "--in", features, "--pcs", "4", "--out", model])
     assert code == 0
     payload = json.loads(model.read_text())
     assert payload["d"] == 4
     assert len(payload["eigenvalues"]) == 21
-    assert projected.read_text().splitlines()[0] == "PC1,PC2,PC3,PC4,label"
 
 
 def test_baseline_subcommand(tmp_path):
@@ -154,6 +153,37 @@ def test_post_prune_alpha_comes_from_the_training_windows(tmp_path):
     features = build_pipeline(cfg, channel_names=channel_names).fit_project(train)
     alpha, _ = cv_ccp_alpha(features.values, features.labels, "entropy", 5, seed=cfg.seed)
     assert cfg.method_params == {"criterion": "entropy", "ccp_alpha": alpha}
+
+
+def test_post_prune_alpha_is_tuned_on_trees_with_the_given_limits(tmp_path):
+    # the series of the test above: CV once grew unlimited trees, so runs
+    # with and without --max-depth 2 both chose ccp_alpha 0.0121915
+    data = tmp_path / "noise50"
+    assert run(["generate", "--n-per-class", "3", "--len", "3601", "--seed", "1",
+                "--noise", "50", "--out", data]) == 0
+    chosen = []
+    for limit in ([], ["--max-depth", "2"]):
+        out = tmp_path / f"limited{len(limit)}"
+        assert run(["train", "dtree", "--data", data, "--pcs", "4", "--prune", "post",
+                    *limit, "--out", out]) == 0
+        cfg = PipelineConfig.from_json((out / "config.json").read_text())
+        limits = {k: v for k, v in cfg.method_params.items() if k != "ccp_alpha"}
+        # the alpha that refitting each candidate with those limits chooses
+        train, _, channel_names = prepare_segments(cfg, dataset.load_series_set(data))
+        features = build_pipeline(cfg, channel_names=channel_names).fit_project(train)
+        X, y = features.values, features.labels
+        alphas = np.unique(ccp_path(DecisionTree(**limits).fit(X, y), X, y).alphas)
+        candidates = np.r_[0.0, np.sqrt(alphas[1:-1] * alphas[2:])]
+        folds = stratified_kfold_indices(y, 5, cfg.seed)
+        scores = [
+            cv_accuracy(lambda: DecisionTree(**limits, ccp_alpha=alpha), X, y, folds)
+            for alpha in candidates
+        ]
+        best = max(range(len(scores)), key=lambda c: (scores[c], c))
+        assert cfg.method_params["ccp_alpha"] == candidates[best]
+        chosen.append(cfg.method_params["ccp_alpha"])
+    assert f"{chosen[0]:.6g}" == "0.0121915"
+    assert chosen[1] != chosen[0]
 
 
 @pytest.mark.parametrize("prune", ["pre", "post"])

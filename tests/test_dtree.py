@@ -1,3 +1,9 @@
+import json
+from bisect import bisect_left
+from copy import deepcopy
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,6 +12,7 @@ from wellmon.dtree import (
     DecisionTree,
     PRE_PRUNING_GRIDS,
     PruningPath,
+    TreeNode,
     ccp_path,
     cv_ccp_alpha,
     entropy,
@@ -128,6 +135,20 @@ def test_pre_pruning_limits():
     assert lazy.depth_ == 0
 
 
+def _walk(node, x):
+    """The leaf one row reaches, one node at a time."""
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node
+
+
+def _nodes(node):
+    """Every node of a view, in preorder."""
+    if node.is_leaf:
+        return [node]
+    return [node, *_nodes(node.left), *_nodes(node.right)]
+
+
 def _min_leaf_size(node):
     if node.is_leaf:
         return node.n_samples
@@ -210,10 +231,28 @@ def _reference_best_split(X, y, idx, criterion, min_samples_leaf):
     return best
 
 
-def _reference_tree(monkeypatch, X, y, **params):
-    with monkeypatch.context() as patch:
-        patch.setattr(dtree, "_best_split", _reference_best_split)
-        return DecisionTree(**params).fit(X, y)
+def _reference_tree(X, y, criterion="gini", max_depth=None, min_samples_split=2,
+                    min_samples_leaf=1):
+    """The tree as the library grew it before it held trees as arrays:
+    nested nodes, one stable argsort per node and feature, one threshold
+    at a time, and the scalar impurity for each node."""
+
+    def grow(idx, depth):
+        counts = np.array([np.sum(y[idx] == 0), np.sum(y[idx] == 1)], dtype=np.float64)
+        node = TreeNode(counts, dtree._CRITERIA[criterion](counts))
+        if (counts.min() == 0 or len(idx) < min_samples_split
+                or (max_depth is not None and depth >= max_depth)):
+            return node
+        best = _reference_best_split(X, y, idx, criterion, min_samples_leaf)
+        if best is None:
+            return node
+        _, node.feature, node.threshold = best
+        mask = X[idx, node.feature] <= node.threshold
+        node.left = grow(idx[mask], depth + 1)
+        node.right = grow(idx[~mask], depth + 1)
+        return node
+
+    return grow(np.arange(len(y)), 0)
 
 
 def _surrogate_cov_pca4():
@@ -231,7 +270,7 @@ def _surrogate_cov_pca4():
     return projected.values, projected.labels
 
 
-def test_whole_tree_matches_reference_scan(monkeypatch, rng):
+def test_whole_tree_matches_reference_scan(rng):
     problems = []
     for trial in range(12):
         n = int(rng.integers(10, 90))
@@ -253,8 +292,8 @@ def test_whole_tree_matches_reference_scan(monkeypatch, rng):
                         max_depth=max_depth,
                     )
                     tree = DecisionTree(**params).fit(X, y)
-                    expected = _reference_tree(monkeypatch, X, y, **params)
-                    assert tree.root_.to_dict() == expected.root_.to_dict(), params
+                    expected = _reference_tree(X, y, **params)
+                    assert tree.root_.to_dict() == expected.to_dict(), params
                     fits += 1
     assert fits >= 16 * 10
 
@@ -288,7 +327,7 @@ def test_duplicated_column_splits_on_first_feature(criterion):
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
-def test_min_samples_leaf_masks_the_best_threshold(monkeypatch, criterion):
+def test_min_samples_leaf_masks_the_best_threshold(criterion):
     # unconstrained, the best cut isolates the 0 at x = 0; with
     # min_samples_leaf = 3 the best allowed cut puts both 0s left of 4.5
     # and leaves a pure right child
@@ -297,10 +336,8 @@ def test_min_samples_leaf_masks_the_best_threshold(monkeypatch, criterion):
     free = DecisionTree(criterion=criterion, max_depth=1).fit(X, y)
     assert free.root_.threshold == 0.5
     tree = DecisionTree(criterion=criterion, max_depth=1, min_samples_leaf=3).fit(X, y)
-    expected = _reference_tree(
-        monkeypatch, X, y, criterion=criterion, max_depth=1, min_samples_leaf=3
-    )
-    assert tree.root_.threshold == expected.root_.threshold == 4.5
+    expected = _reference_tree(X, y, criterion=criterion, max_depth=1, min_samples_leaf=3)
+    assert tree.root_.threshold == expected.threshold == 4.5
 
 
 def test_executed_splits_never_increase_impurity(rng):
@@ -326,19 +363,11 @@ def test_executed_splits_never_increase_impurity(rng):
 def enumerate_pruned_subtrees(root):
     """All prunings of a tree: each internal node kept or collapsed."""
     if root.is_leaf:
-        return [root.copy()]
-    collapsed = root.copy()
-    collapsed.feature = None
-    collapsed.threshold = None
-    collapsed.left = None
-    collapsed.right = None
-    out = [collapsed]
+        return [root]
+    out = [replace(root, feature=None, threshold=None, left=None, right=None)]
     for left in enumerate_pruned_subtrees(root.left):
         for right in enumerate_pruned_subtrees(root.right):
-            node = root.copy()
-            node.left = left.copy()
-            node.right = right.copy()
-            out.append(node)
+            out.append(replace(root, left=left, right=right))
     return out
 
 
@@ -346,6 +375,54 @@ def _risk(node, n_total):
     if node.is_leaf:
         return (node.n_samples - node.class_counts.max()) / n_total
     return _risk(node.left, n_total) + _risk(node.right, n_total)
+
+
+def _reference_path(root, n_total):
+    """(alphas, node counts, depths, trees) of weakest-link pruning as the
+    library computed it before it held trees as arrays: every collapse
+    walks the whole tree again for the weakest link."""
+
+    def weakest(node):
+        if node.is_leaf:
+            return None
+        leaves = node.leaf_count()
+        best = (((node.n_samples - node.class_counts.max()) / n_total
+                 - _risk(node, n_total)) / (leaves - 1), node)
+        for child in (node.left, node.right):
+            candidate = weakest(child)
+            if candidate is not None and candidate[0] < best[0] - 1e-15:
+                best = candidate
+        return best
+
+    current = deepcopy(root)
+    alphas, trees = [0.0], [deepcopy(current)]
+    while not current.is_leaf:
+        alpha, node = weakest(current)
+        node.feature = node.threshold = node.left = node.right = None
+        alphas.append(max(alpha, alphas[-1]))
+        trees.append(deepcopy(current))
+    return alphas, [len(_nodes(t)) for t in trees], [_height(t) for t in trees], trees
+
+
+def _height(node):
+    if node.is_leaf:
+        return 0
+    return 1 + max(_height(node.left), _height(node.right))
+
+
+@pytest.mark.parametrize("decimals", [None, 0, 1])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_ccp_path_matches_the_whole_tree_walk(rng, criterion, decimals):
+    # rounded features give impure leaves and tied alphas
+    X, y = _noisy_threshold_data(rng, decimals, n=120)
+    for params in (dict(), dict(max_depth=4), dict(min_samples_leaf=3)):
+        tree = DecisionTree(criterion, **params).fit(X, y)
+        path = ccp_path(tree, X, y)
+        alphas, counts, depths, trees = _reference_path(tree.root_, len(y))
+        assert path.alphas == tuple(alphas)
+        assert path.node_counts == tuple(counts)
+        assert path.depths == tuple(depths)
+        assert [t.to_dict() for t in path.trees] == [t.to_dict() for t in trees]
 
 
 def test_ccp_path_alpha_zero_is_original():
@@ -398,10 +475,7 @@ def test_ccp_path_nesting_and_train_accuracy(rng):
     path = ccp_path(tree, X, y)
     accuracies = []
     for pruned in path.trees:
-        model = DecisionTree()
-        model.root_ = pruned
-        model.n_features_in_ = 2
-        accuracies.append(np.mean(model.predict(X) == y))
+        accuracies.append(np.mean([_walk(pruned, x).predicted for x in X] == y))
     assert all(b <= a + 1e-12 for a, b in zip(accuracies, accuracies[1:]))
     assert path.node_counts[-1] == 1
 
@@ -411,7 +485,7 @@ def test_beyond_last_alpha_gives_root_only():
     pruned = prune_tree(tree.root_, 1e6)
     assert pruned.is_leaf
     kept = prune_tree(tree.root_, 0.0)
-    assert kept.node_count() == 7
+    assert kept.to_dict() == tree.root_.to_dict()
 
 
 def test_fit_with_ccp_alpha():
@@ -419,6 +493,51 @@ def test_fit_with_ccp_alpha():
     assert tree.n_nodes_ == 1
     tree = DecisionTree(ccp_alpha=0.01).fit(XOR_X, XOR_Y)
     assert tree.n_nodes_ == 7
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_level_steps_and_row_walk_reach_the_leaves_of_a_walk_down_the_view(rng, criterion):
+    X, y = _noisy_threshold_data(rng, n=300)
+    tree = DecisionTree(criterion).fit(X, y)
+    root = tree.root_
+    queries = [
+        X,
+        X[:1],
+        X[:127],
+        X[:128],
+        rng.standard_normal((1, 3)),
+        # far outside the training range: a few edge leaves take every row
+        # and every other leaf stays empty
+        rng.standard_normal((400, 3)) * 100.0,
+        np.full((200, 3), 0.1),
+        np.zeros((0, 3)),
+        # every feature exactly at a split threshold, which goes left
+        np.repeat([n.threshold for n in _nodes(root) if not n.is_leaf], 3).reshape(-1, 3),
+    ]
+    for Q in queries:
+        expected = [_walk(root, x).predicted for x in Q]
+        assert tree.predict(Q).tolist() == expected
+        levels = tree.tree_.levels(Q)
+        assert tree.tree_.predicted[levels[-1]].tolist() == expected
+        assert np.array_equal(levels[-1], tree.tree_.leaves(Q))
+        assert len(levels) <= tree.depth_ + 1
+    assert tree.predict(X[0]) == _walk(root, X[0]).predicted
+
+
+@pytest.mark.parametrize("decimals", [None, 0])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_fit_at_alpha_is_the_path_tree_at_that_alpha(rng, criterion, decimals):
+    X, y = _noisy_threshold_data(rng, decimals)
+    full = DecisionTree(criterion).fit(X, y)
+    path = ccp_path(full, X, y)
+    alphas = np.unique(path.alphas)
+    for alpha in [*alphas, *(0.5 * (alphas[:-1] + alphas[1:])), 2 * alphas[-1]]:
+        expected = path.tree_at(alpha)
+        fitted = DecisionTree(criterion, ccp_alpha=alpha).fit(X, y)
+        assert fitted.root_.to_dict() == expected.to_dict()
+        assert fitted.n_nodes_ == path.node_counts[bisect_left(path.alphas, alpha, lo=1) - 1]
+        assert fitted.depth_ == path.depths[bisect_left(path.alphas, alpha, lo=1) - 1]
+        assert fitted.n_nodes_ == len(_nodes(expected))
 
 
 def test_leaf_only_path():
@@ -465,6 +584,52 @@ def test_grid_search_single_point():
     grid = {"max_depth": [3], "min_samples_split": [2], "min_samples_leaf": [1]}
     best, _ = grid_search(X, y, "gini", grid, k_folds=2, seed=1)
     assert best == {"max_depth": 3, "min_samples_split": 2, "min_samples_leaf": 1}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_grid_search_is_the_refit_cv_choice(monkeypatch, rng, criterion, seed):
+    # min_samples_split 30 exceeds many node sizes of 80-row folds
+    X, y = _noisy_threshold_data(rng, decimals=1, n=120)
+    grid = {"max_depth": [1, 3, None, 6], "min_samples_split": [2, 5, 30],
+            "min_samples_leaf": [1, 3]}
+    folds = stratified_kfold_indices(y, 3, seed)
+    names = ("max_depth", "min_samples_split", "min_samples_leaf")
+    refit = {}
+    for combo in product(*(grid[name] for name in names)):
+        params = dict(zip(names, combo))
+        refit[combo] = cv_accuracy(lambda: DecisionTree(criterion, **params), X, y, folds)
+
+    def refit_choice(depths):
+        return min(
+            (c for c in refit if c[0] in depths),
+            key=lambda c: (-refit[c], np.inf if c[0] is None else c[0], -c[2], c[1]),
+        )
+
+    fits = []
+    fit = DecisionTree.fit
+    monkeypatch.setattr(DecisionTree, "fit", lambda self, *a: fits.append(1) or fit(self, *a))
+    best, score = grid_search(X, y, criterion, grid, k_folds=3, seed=seed)
+    expected = refit_choice(grid["max_depth"])
+    assert (best, score) == (dict(zip(names, expected)), refit[expected])
+    # one grown tree per fold and min_samples_leaf
+    assert len(fits) == 3 * 2
+    for depths in ([1, 6, 3], *([depth] for depth in grid["max_depth"])):
+        best, score = grid_search(X, y, criterion, dict(grid, max_depth=depths), 3, seed)
+        expected = refit_choice(depths)
+        assert (best, score) == (dict(zip(names, expected)), refit[expected])
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_grid_truncation_is_the_refit_tree(rng, criterion, decimals):
+    X, y = _noisy_threshold_data(rng, decimals, n=150)
+    for leaf_size in (1, 3):
+        grown = DecisionTree(criterion, None, 2, leaf_size).fit(X, y).tree_
+        for depth, split in product([0, 1, 2, 4, 7, None], [2, 3, 6, 25, 151]):
+            truncated = grown.pruned(dtree._truncation(grown, depth, split)).root()
+            refit = DecisionTree(criterion, depth, split, leaf_size).fit(X, y)
+            assert truncated.to_dict() == refit.root_.to_dict(), (depth, split)
 
 
 def test_grid_search_requires_enough_per_class():
@@ -586,6 +751,17 @@ def test_json_roundtrip(tmp_path, rng):
     loaded = DecisionTree.load(tmp_path / "tree.json")
     assert np.array_equal(loaded.predict(X), tree.predict(X))
     assert loaded.n_nodes_ == tree.n_nodes_
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_saved_model_is_byte_identical_after_load_and_save(tmp_path, rng, criterion):
+    X, y = _noisy_threshold_data(rng, n=200)
+    tree = DecisionTree(criterion, ccp_alpha=0.005).fit(X, y)
+    tree.save(tmp_path / "dtree_model.json")
+    DecisionTree.load(tmp_path / "dtree_model.json").save(tmp_path / "again.json")
+    saved = (tmp_path / "dtree_model.json").read_bytes()
+    assert (tmp_path / "again.json").read_bytes() == saved
+    assert json.loads(saved)["tree"] == tree.root_.to_dict()
 
 
 def test_pruning_path_invariant():
