@@ -17,7 +17,7 @@ from .baseline import MonitorConfig, monitor, read_lines_csv, write_lines_csv
 from .cnn import (
     ACTIVATIONS, SEARCHED_PARAMS, SearchSpace, TrainingDivergedError, random_search,
 )
-from .dtree import PRE_PRUNING_GRIDS, cv_ccp_alpha, grid_search
+from .dtree import PRE_PRUNING_PARAMS, cv_ccp_alpha, grid_search, pre_pruning_grid
 from .evaluation import format_table, reports_to_csv, score_predictions
 from .pca import PCA
 from .pipeline import (
@@ -269,18 +269,13 @@ def cmd_baseline(args):
     return EXIT_OK
 
 
-def _grid_key(cfg):
-    if cfg.transform == "cov" and cfg.pcs == 4:
-        return "cov_pca4"
-    return cfg.transform
-
-
 def _refuse_tuned(args, cfg):
-    """Refuse, before any data is made, a setting given by a flag or
-    --config that --prune pre or --trials would replace."""
+    """Refuse, before any data is made, a --k-folds below 2 and a setting
+    given by a flag or --config that --prune pre or --trials would replace."""
+    if getattr(args, "k_folds", 2) < 2:
+        raise ConfigError(f"--k-folds must be >= 2, got {args.k_folds}")
     if cfg.method == "dtree" and args.prune == "pre":
-        criterion = build_pipeline(cfg).estimator.criterion
-        tuning, keys = "--prune pre", PRE_PRUNING_GRIDS[(_grid_key(cfg), criterion)]
+        tuning, keys = "--prune pre", PRE_PRUNING_PARAMS
     elif cfg.method == "cnn" and args.trials > 0:
         # random_search returns the best trial's seed with its settings
         tuning, keys = "--trials", (*SEARCHED_PARAMS, "seed")
@@ -306,11 +301,10 @@ def cmd_train(args):
     tuned = {}
     if cfg.method == "dtree" and args.prune == "pre":
         features = pipeline.fit_project(train)
-        grid = PRE_PRUNING_GRIDS[(_grid_key(cfg), estimator.criterion)]
-        tuned, score = grid_search(
-            features.values, features.labels, estimator.criterion, grid,
-            args.k_folds, seed=cfg.seed,
-        )
+        X, y = features.values, features.labels
+        grid = pre_pruning_grid(X, y, estimator.criterion)
+        tuned, score = grid_search(X, y, estimator.criterion, grid, args.k_folds,
+                                   seed=cfg.seed)
         print(f"pre-pruning grid search: {tuned} (cv accuracy {score:.4f})")
     if (cfg.method == "dtree" and args.prune == "post"
             and "ccp_alpha" not in cfg.method_params):

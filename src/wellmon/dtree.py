@@ -27,8 +27,11 @@ leaf count and weakest link once, bottom-up; a collapse updates only the
 collapsed node's ancestors. The path stores the order of its collapses, so
 the tree at any alpha is one mask over the grown tree's nodes.
 
-Both prunings tune by k-fold CV on training rows. grid_search grows one tree
-per fold and min_samples_leaf, at the grid's largest max_depth and smallest
+Both prunings tune by one k-fold CV loop on training rows (_cv_choice), and
+both take their candidates from the tree grown on all the rows:
+pre_pruning_grid searches max_depth up to that tree's depth, cv_ccp_alpha
+the midpoints of its path's alphas. grid_search grows one tree per fold and
+min_samples_leaf, at the grid's largest max_depth and smallest
 min_samples_split, and scores each setting on that tree truncated: a node
 is a leaf when depth >= max_depth or n_samples < min_samples_split, which
 is the tree a refit at that setting grows. cv_ccp_alpha grows one tree per
@@ -556,8 +559,8 @@ class PruningPath:
 
     def leaves_at(self, alpha):
         """Mask of tree's nodes that are leaves after every collapse whose
-        alpha is below alpha; for alpha > 0 that is the tree
-        prune_tree(tree, alpha) keeps."""
+        alpha is below alpha; for alpha > 0 that is the tree a fit at
+        ccp_alpha=alpha keeps."""
         return self._leaves_after(bisect_left(self.alphas, alpha, lo=1) - 1)
 
     def tree_at(self, alpha):
@@ -622,12 +625,6 @@ def _pruning_path(tree, n_total):
     return PruningPath(tuple(alphas), tuple(node_counts), tuple(depths), tree, tuple(order))
 
 
-def prune_tree(root, ccp_alpha):
-    """Collapse weakest links while their effective alpha is < ccp_alpha."""
-    path = _pruning_path(FlatTree.from_root(root), root.n_samples)
-    return path.tree_at(ccp_alpha)
-
-
 def ccp_path(tree, X_train, y_train) -> PruningPath:
     """Weakest-link pruning path of a fitted tree on its training data.
 
@@ -646,26 +643,20 @@ def ccp_path(tree, X_train, y_train) -> PruningPath:
 # tuning by cross-validation on the training rows
 # ---------------------------------------------------------------------------
 
-# hyperparameter ranges used for pre-pruning, per transform and criterion
-PRE_PRUNING_GRIDS = {
-    ("std", "entropy"): {"max_depth": range(2, 14), "min_samples_split": range(2, 5),
-                         "min_samples_leaf": range(1, 3)},
-    ("std", "gini"): {"max_depth": range(2, 14), "min_samples_split": range(2, 5),
-                      "min_samples_leaf": range(1, 3)},
-    ("cov", "entropy"): {"max_depth": range(2, 6), "min_samples_split": range(2, 5),
-                         "min_samples_leaf": range(1, 3)},
-    ("cov", "gini"): {"max_depth": range(2, 7), "min_samples_split": range(2, 5),
-                      "min_samples_leaf": range(1, 3)},
-    ("cov_pca4", "entropy"): {"max_depth": range(2, 9), "min_samples_split": range(2, 5),
-                              "min_samples_leaf": range(1, 3)},
-    ("cov_pca4", "gini"): {"max_depth": range(2, 9), "min_samples_split": range(2, 5),
-                           "min_samples_leaf": range(1, 3)},
-}
+# the DecisionTree parameters that --prune pre searches, and the values of
+# its two size limits; its max_depth range comes from the data
+# (pre_pruning_grid)
+PRE_PRUNING_PARAMS = ("max_depth", "min_samples_split", "min_samples_leaf")
+PRE_PRUNING_SIZES = {"min_samples_split": range(2, 5), "min_samples_leaf": range(1, 3)}
 
 
-def _fold_paths(tree, X):
-    """Each row's nodes from the root down: (rows, levels) node indices."""
-    return np.stack(tree.levels(X), axis=1)
+def pre_pruning_grid(X, y, criterion):
+    """The grid --prune pre searches on (X, y): max_depth from 1 to the
+    depth of the tree grown on all of (X, y), as cv_ccp_alpha takes its
+    candidates from that tree's path (1 alone when the tree is one leaf),
+    and PRE_PRUNING_SIZES."""
+    depth = DecisionTree(criterion).fit(X, y).depth_
+    return {"max_depth": range(1, max(depth, 1) + 1), **PRE_PRUNING_SIZES}
 
 
 def _truncation(tree, max_depth, min_samples_split):
@@ -676,6 +667,32 @@ def _truncation(tree, max_depth, min_samples_split):
     if max_depth is not None:
         leaf |= tree.depth >= max_depth
     return leaf
+
+
+def _cv_choice(X, y, k_folds, seed, grow, groups, size):
+    """The candidate with the best stratified k-fold CV mean accuracy, and
+    that accuracy.
+
+    groups maps a key to the candidates scored on the tree grow(rows, key)
+    grows; grow returns that FlatTree and a function from a candidate to
+    the mask of the tree's nodes that are the candidate's leaves. Each fold
+    grows each group's tree once and routes its held-out rows down it once.
+    Fold scores are averaged as cv_accuracy averages them, and ties go to
+    the least size(candidate), the smaller tree.
+    """
+    folds = stratified_kfold_indices(y, k_folds, seed)
+    scored = []
+    for key, candidates in groups.items():
+        scores = [[] for _ in candidates]
+        for train_idx, test_idx in folds:
+            tree, leaves_of = grow(train_idx, key)
+            paths = np.stack(tree.levels(X[test_idx]), axis=1)
+            for candidate, fold_scores in zip(candidates, scores):
+                pred = tree.labels_at(paths, leaves_of(candidate))
+                fold_scores.append(float(np.mean(pred == y[test_idx])))
+        scored += [(float(np.mean(s)), c) for c, s in zip(candidates, scores)]
+    score, best = min(scored, key=lambda pair: (-pair[0], size(pair[1])))
+    return best, score
 
 
 def grid_search(X, y, criterion, grid, k_folds, seed=0):
@@ -692,40 +709,24 @@ def grid_search(X, y, criterion, grid, k_folds, seed=0):
     X, y = check_X_y(X, y)
     if k_folds < 2:
         raise ValueError("k_folds must be >= 2")
-    names = ("max_depth", "min_samples_split", "min_samples_leaf")
-    values = [list(grid[name]) for name in names]
-    if any(len(v) == 0 for v in values):
+    depths, splits, leaf_sizes = (list(grid[name]) for name in PRE_PRUNING_PARAMS)
+    if not (depths and splits and leaf_sizes):
         raise ValueError("grid is empty")
-    depths, splits, leaf_sizes = values
-    folds = stratified_kfold_indices(y, k_folds, seed)
     deepest = None if None in depths else max(depths)
-    fold_scores = {}
-    for leaf_size in dict.fromkeys(leaf_sizes):
-        for train_idx, test_idx in folds:
-            tree = DecisionTree(criterion, deepest, min(splits), leaf_size).fit(
-                X[train_idx], y[train_idx]
-            ).tree_
-            paths = _fold_paths(tree, X[test_idx])
-            for depth, split in product(dict.fromkeys(depths), dict.fromkeys(splits)):
-                pred = tree.labels_at(paths, _truncation(tree, depth, split))
-                fold_scores.setdefault((depth, split, leaf_size), []).append(
-                    float(np.mean(pred == y[test_idx]))
-                )
-    best_key = None
-    best = None
-    for combo in product(*values):
-        params = dict(zip(names, combo))
-        score = float(np.mean(fold_scores[combo]))
-        key = (
-            -score,
-            math.inf if params["max_depth"] is None else params["max_depth"],
-            -params["min_samples_leaf"],
-            params["min_samples_split"],
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (params, score)
-    return best
+
+    def grow(rows, leaf_size):
+        tree = DecisionTree(criterion, deepest, min(splits), leaf_size).fit(
+            X[rows], y[rows]
+        ).tree_
+        return tree, lambda setting: _truncation(tree, *setting[:2])
+
+    best, score = _cv_choice(
+        X, y, k_folds, seed, grow,
+        {leaf_size: list(product(depths, splits, [leaf_size])) for leaf_size in leaf_sizes},
+        lambda setting: (math.inf if setting[0] is None else setting[0], -setting[2],
+                         setting[1]),
+    )
+    return dict(zip(PRE_PRUNING_PARAMS, best)), score
 
 
 def cv_ccp_alpha(X, y, criterion, k_folds, seed=0, max_depth=None,
@@ -738,27 +739,21 @@ def cv_ccp_alpha(X, y, criterion, k_folds, seed=0, max_depth=None,
     consecutive distinct alphas on the pruning path of the tree grown on
     all of (X, y); the first is 0, the unpruned tree. Each fold grows one
     tree and takes its path once. A candidate's tree is the path's tree
-    after every collapse whose alpha is below the candidate, which is what
-    prune_tree(fold_root, candidate) gives, so no candidate is refit. Ties
-    go to the larger alpha, the smaller tree. Returns (alpha, cv_accuracy).
+    after every collapse whose alpha is below the candidate, which is the
+    tree DecisionTree(ccp_alpha=candidate) fits on the fold, so no
+    candidate is refit. Ties go to the larger alpha, the smaller tree.
+    Returns (alpha, cv_accuracy).
     """
     X, y = check_X_y(X, y)
-    folds = stratified_kfold_indices(y, k_folds, seed)
 
     def path_of(rows):
         tree = DecisionTree(criterion, max_depth, min_samples_split, min_samples_leaf)
         return _pruning_path(tree.fit(X[rows], y[rows]).tree_, len(rows))
 
+    def grow(rows, _):
+        path = path_of(rows)
+        return path.tree, path.leaves_at
+
     alphas = np.unique(path_of(np.arange(len(y))).alphas)
-    candidates = np.r_[0.0, np.sqrt(alphas[1:-1] * alphas[2:])]
-    scores = np.empty((len(folds), len(candidates)))
-    for f, (train_idx, test_idx) in enumerate(folds):
-        path = path_of(train_idx)
-        paths = _fold_paths(path.tree, X[test_idx])
-        for c, alpha in enumerate(candidates):
-            pred = path.tree.labels_at(paths, path.leaves_at(alpha))
-            scores[f, c] = np.mean(pred == y[test_idx])
-    # averaged one column at a time, in the order cv_accuracy sums its folds
-    means = [float(np.mean(column)) for column in scores.T]
-    best = max(range(len(candidates)), key=lambda c: (means[c], c))
-    return float(candidates[best]), means[best]
+    candidates = np.r_[0.0, np.sqrt(alphas[1:-1] * alphas[2:])].tolist()
+    return _cv_choice(X, y, k_folds, seed, grow, {None: candidates}, lambda alpha: -alpha)

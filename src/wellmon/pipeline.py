@@ -374,10 +374,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir, series_set=None):
 
 def run_split(cfg: PipelineConfig, out_dir, train, test, channel_names):
     """run_pipeline on a split that prepare_segments(cfg) already made."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = build_pipeline(cfg, channel_names=channel_names)
     reports = compare([pipeline], train, test)
+    # made once the fit has succeeded, so a failed run leaves no directory
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg.method
     pipeline.save(out_dir, stem)
     if isinstance(pipeline, ClassicalPipeline):
@@ -392,14 +393,14 @@ def run_split(cfg: PipelineConfig, out_dir, train, test, channel_names):
 def run_compare(cfg: PipelineConfig, out_dir, series_set=None):
     """Fit all four methods on one split; write report CSV and text table."""
     cfg.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train, test, channel_names = prepare_segments(cfg, series_set)
     pipelines = [
         build_pipeline(cfg, method, channel_names=channel_names)
         for method in METHODS
     ]
     reports = compare(pipelines, train, test)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for pipeline in pipelines:
         pipeline.save(out_dir, pipeline.name)
     reports = [_stamp(r, cfg) for r in reports]

@@ -15,9 +15,7 @@ import wellmon
 from wellmon import cli, dataset
 from wellmon.cli import main
 from wellmon.cnn import CnnClassifier, random_search
-from wellmon.dtree import (
-    PRE_PRUNING_GRIDS, DecisionTree, ccp_path, cv_ccp_alpha, grid_search,
-)
+from wellmon.dtree import DecisionTree, ccp_path, cv_ccp_alpha, grid_search
 from wellmon.evaluation import score_predictions
 from wellmon.pipeline import (
     METHODS, PipelineConfig, build_pipeline, load_run, prepare_segments,
@@ -202,13 +200,26 @@ def test_train_dtree_pre_prune(data_dir, tmp_path):
     assert code == 0
     assert (out / "dtree_model.json").exists()
     # the recorded parameters are the grid search's pick on the projected
-    # train features of the split the final model reports on
+    # train features of the split the final model reports on, over depths up
+    # to that of the tree grown on all of those features
     cfg = PipelineConfig.from_json((out / "config.json").read_text())
+    X, y = _train_features(cfg, data_dir)
+    grid = _derived_grid(X, y, "gini")
+    best, _ = grid_search(X, y, "gini", grid, 2, seed=0)
+    assert cfg.method_params == {"criterion": "gini", **best}
+
+
+def _train_features(cfg, data_dir):
+    """The projected training features that a run of cfg tunes on."""
     train, _, channel_names = prepare_segments(cfg, dataset.load_series_set(data_dir))
     features = build_pipeline(cfg, channel_names=channel_names).fit_project(train)
-    best, _ = grid_search(features.values, features.labels, "gini",
-                          PRE_PRUNING_GRIDS[("std", "gini")], 2, seed=0)
-    assert cfg.method_params == {"criterion": "gini", **best}
+    return features.values, features.labels
+
+
+def _derived_grid(X, y, criterion):
+    depth = DecisionTree(criterion).fit(X, y).depth_
+    return {"max_depth": list(range(1, depth + 1)), "min_samples_split": [2, 3, 4],
+            "min_samples_leaf": [1, 2]}
 
 
 def test_train_svm(data_dir, tmp_path):
@@ -643,16 +654,20 @@ def test_pre_prune_grid_follows_config_transform(data_dir, tmp_path, monkeypatch
     searched = {}
 
     def spy(X, y, criterion, grid, k_folds, seed=0):
-        searched.update(n_features=X.shape[1], grid=grid, criterion=criterion)
+        searched.update(X=X, criterion=criterion,
+                        grid={name: list(values) for name, values in grid.items()})
         return grid_search(X, y, criterion, grid, k_folds, seed=seed)
 
     monkeypatch.setattr(cli, "grid_search", spy)
     config = _config_file(tmp_path, {"transform": "std",
                                      "method_params": {"criterion": "entropy"}})
+    out = tmp_path / "o"
     assert run(["train", "dtree", "--data", data_dir, "--prune", "pre",
-                "--k-folds", "2", "--config", config, "--out", tmp_path / "o"]) == 0
-    assert searched == {"n_features": 6, "criterion": "entropy",
-                        "grid": PRE_PRUNING_GRIDS[("std", "entropy")]}
+                "--k-folds", "2", "--config", config, "--out", out]) == 0
+    X, y = _train_features(PipelineConfig.from_json((out / "config.json").read_text()),
+                           data_dir)
+    assert X.shape[1] == 6 and np.array_equal(searched.pop("X"), X)
+    assert searched == {"criterion": "entropy", "grid": _derived_grid(X, y, "entropy")}
 
 
 def test_keyed_config_params_merge_with_method_flags(data_dir, tmp_path):
@@ -740,6 +755,37 @@ def test_trials_refuse_a_given_searched_setting(given, key, data_dir, tmp_path,
     assert run(["train", "cnn", "--data", data_dir, "--trials", "1",
                 "--epochs", "1", *given, "--out", out]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "dtree", "--prune", "pre"],
+    ["train", "dtree", "--prune", "post"],
+    ["train", "cnn", "--trials", "1", "--epochs", "1"],
+])
+def test_too_few_folds_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+
+    monkeypatch.setattr(dataset, "generate", no_data)
+    out = tmp_path / "o"
+    assert run([*argv, *COMMON, "--k-folds", "1", "--out", out]) == 2
+    assert "--k-folds must be >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--channels", "bmx,nosuch"],
+    ["train", "logreg", "--channels", "bmx,nosuch"],
+    ["train", "svm", "--C", "-1"],
+    ["train", "dtree", "--ccp-alpha", "-1"],
+    ["compare", "--config", {"method_params": {"svm": {"C": -1}}}],
+])
+def test_a_failed_run_leaves_no_out_dir(argv, data_dir, tmp_path, capsys):
+    argv = [_config_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    out = tmp_path / "o"
+    assert run([*argv, "--data", data_dir, "--out", out]) == 3
+    assert "data error" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from wellmon import dtree
 from wellmon.dtree import (
+    PRE_PRUNING_SIZES,
     DecisionTree,
-    PRE_PRUNING_GRIDS,
     PruningPath,
     TreeNode,
     ccp_path,
@@ -19,7 +19,7 @@ from wellmon.dtree import (
     gini,
     grid_search,
     info_gain,
-    prune_tree,
+    pre_pruning_grid,
     weighted_child_impurity,
 )
 from wellmon.validation import cv_accuracy, stratified_kfold_indices
@@ -482,10 +482,10 @@ def test_ccp_path_nesting_and_train_accuracy(rng):
 
 def test_beyond_last_alpha_gives_root_only():
     tree = DecisionTree().fit(XOR_X, XOR_Y)
-    pruned = prune_tree(tree.root_, 1e6)
-    assert pruned.is_leaf
-    kept = prune_tree(tree.root_, 0.0)
-    assert kept.to_dict() == tree.root_.to_dict()
+    path = ccp_path(tree, XOR_X, XOR_Y)
+    assert path.tree_at(1e6).is_leaf
+    assert DecisionTree(ccp_alpha=1e6).fit(XOR_X, XOR_Y).root_.is_leaf
+    assert path.tree_at(0.0).to_dict() == tree.root_.to_dict()
 
 
 def test_fit_with_ccp_alpha():
@@ -560,14 +560,8 @@ def test_leaf_tie_predicts_broken():
 # grid search
 # ---------------------------------------------------------------------------
 
-def test_grid_search_table8_size_and_tiebreak(rng):
-    grid = PRE_PRUNING_GRIDS[("std", "entropy")]
-    assert (
-        len(list(grid["max_depth"]))
-        * len(list(grid["min_samples_split"]))
-        * len(list(grid["min_samples_leaf"]))
-        == 72
-    )
+def test_grid_search_tiebreak_prefers_the_simplest_tree(rng):
+    grid = {"max_depth": range(2, 14), **PRE_PRUNING_SIZES}
     X = np.concatenate([rng.standard_normal((30, 2)), rng.standard_normal((30, 2)) + 8.0])
     y = np.array([0] * 30 + [1] * 30)
     best, score = grid_search(X, y, "entropy", grid, k_folds=3, seed=0)
@@ -632,6 +626,30 @@ def test_grid_truncation_is_the_refit_tree(rng, criterion, decimals):
             assert truncated.to_dict() == refit.root_.to_dict(), (depth, split)
 
 
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_pre_pruning_grid_depths_run_to_the_full_tree(rng, criterion):
+    X, y = _noisy_threshold_data(rng, n=150)
+    depth = DecisionTree(criterion).fit(X, y).depth_
+    assert depth > 3
+    grid = pre_pruning_grid(X, y, criterion)
+    assert list(grid["max_depth"]) == list(range(1, depth + 1))
+    assert {k: list(v) for k, v in grid.items() if k != "max_depth"} == {
+        "min_samples_split": [2, 3, 4], "min_samples_leaf": [1, 2]}
+    best, _ = grid_search(X, y, criterion, grid, k_folds=3, seed=0)
+    assert 1 <= best["max_depth"] <= depth
+
+
+def test_pre_pruning_on_constant_features_searches_depth_1():
+    # no split exists, so the full tree is one leaf of depth 0
+    X = np.ones((20, 3))
+    y = np.array([0, 1] * 10)
+    grid = pre_pruning_grid(X, y, "gini")
+    assert list(grid["max_depth"]) == [1]
+    best, score = grid_search(X, y, "gini", grid, k_folds=2, seed=0)
+    assert best == {"max_depth": 1, "min_samples_split": 2, "min_samples_leaf": 2}
+    assert score == 0.5
+
+
 def test_grid_search_requires_enough_per_class():
     X = np.zeros((4, 1))
     y = np.array([0, 0, 0, 1])
@@ -688,8 +706,9 @@ def test_path_lookup_is_prune_tree_on_every_fold(rng, criterion, decimals):
         fold_tree = DecisionTree(criterion).fit(X[train_idx], y[train_idx])
         path = ccp_path(fold_tree, X[train_idx], y[train_idx])
         for alpha in candidates:
-            expected = prune_tree(fold_tree.root_, alpha)
-            assert path.tree_at(alpha).to_dict() == expected.to_dict()
+            # the tree a refit at that alpha grows on the fold's rows
+            refit = DecisionTree(criterion, ccp_alpha=alpha).fit(X[train_idx], y[train_idx])
+            assert path.tree_at(alpha).to_dict() == refit.root_.to_dict()
 
 
 @pytest.mark.parametrize("decimals", [None, 0])
