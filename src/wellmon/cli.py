@@ -269,56 +269,57 @@ def cmd_baseline(args):
     return EXIT_OK
 
 
+# the estimator settings each tuner of train chooses, by (method, tuning)
+TUNED_PARAMS = {
+    # grid search scores truncations of unpruned trees
+    ("dtree", "pre"): (*PRE_PRUNING_PARAMS, "ccp_alpha"),
+    ("dtree", "post"): ("ccp_alpha",),
+    # random_search returns the best trial's seed with its settings
+    ("cnn", "trials"): (*SEARCHED_PARAMS, "seed"),
+}
+
+
 def _refuse_tuned(args, cfg):
     """Refuse, before any data is made, a --k-folds below 2 and a setting
-    given by a flag or --config that --prune pre or --trials would replace."""
+    given by a flag or --config that the tuning replaces; return the tuning."""
     if getattr(args, "k_folds", 2) < 2:
         raise ConfigError(f"--k-folds must be >= 2, got {args.k_folds}")
-    if cfg.method == "dtree" and args.prune == "pre":
-        tuning, keys = "--prune pre", PRE_PRUNING_PARAMS
-    elif cfg.method == "cnn" and args.trials > 0:
-        # random_search returns the best trial's seed with its settings
-        tuning, keys = "--trials", (*SEARCHED_PARAMS, "seed")
-    else:
-        return
-    given = [key for key in keys if key in cfg.method_params]
+    tuning = "trials" if getattr(args, "trials", 0) > 0 else getattr(args, "prune", None)
+    given = [key for key in TUNED_PARAMS.get((cfg.method, tuning), ())
+             if key in cfg.method_params]
     if given:
+        flag = "--trials" if tuning == "trials" else f"--prune {tuning}"
         raise ConfigError(
-            f"{tuning} tunes {', '.join(given)}, which is also set by a flag "
+            f"{flag} tunes {', '.join(given)}, which is also set by a flag "
             "or --config; drop the setting or the tuning"
         )
+    return tuning
 
 
 def cmd_train(args):
     cfg = _pipeline_config(args)
-    _refuse_tuned(args, cfg)
+    tuning = _refuse_tuned(args, cfg)
     series_set = _load_series_dir(args.data) if args.data else None
     out_dir = Path(args.out)
     # tuning sees the split and preprocessing that the final fit reports on
     train, test, channel_names = prepare_segments(cfg, series_set)
     pipeline = build_pipeline(cfg, channel_names=channel_names)
-    estimator = pipeline.estimator
+    estimator = pipeline.estimator  # each tuner starts from the run's estimator
     tuned = {}
-    if cfg.method == "dtree" and args.prune == "pre":
+    if tuning == "pre":
         features = pipeline.fit_project(train)
         X, y = features.values, features.labels
         grid = pre_pruning_grid(X, y, estimator.criterion)
         tuned, score = grid_search(X, y, estimator.criterion, grid, args.k_folds,
                                    seed=cfg.seed)
         print(f"pre-pruning grid search: {tuned} (cv accuracy {score:.4f})")
-    if (cfg.method == "dtree" and args.prune == "post"
-            and "ccp_alpha" not in cfg.method_params):
+    if tuning == "post":
         features = pipeline.fit_project(train)
-        # the alpha is tuned on trees grown with the limits of the tree it prunes
-        alpha, score = cv_ccp_alpha(
-            features.values, features.labels, estimator.criterion, args.k_folds,
-            seed=cfg.seed, max_depth=estimator.max_depth,
-            min_samples_split=estimator.min_samples_split,
-            min_samples_leaf=estimator.min_samples_leaf,
-        )
+        alpha, score = cv_ccp_alpha(estimator, features.values, features.labels,
+                                    args.k_folds, seed=cfg.seed)
         tuned = {"ccp_alpha": alpha}
         print(f"post-pruning cv: ccp_alpha {alpha:.6g} (cv accuracy {score:.4f})")
-    if cfg.method == "cnn" and args.trials > 0:
+    if tuning == "trials":
         # trials are scored on a stratified validation fold of train; the
         # test windows stay unseen until the final report
         fit_idx, val_idx = stratified_kfold_indices(
@@ -329,11 +330,10 @@ def cmd_train(args):
         X_fit = pipeline.fit_project(fit_part)
         out_dir.mkdir(parents=True, exist_ok=True)
         tuned, _ = random_search(
-            SearchSpace(n_trials=args.trials),
+            estimator, SearchSpace(n_trials=args.trials),
             X_fit, dataset_mod.labels_of(fit_part), pipeline.project(val_part),
             dataset_mod.labels_of(val_part),
-            seed=cfg.seed, epochs=estimator.epochs,
-            log_path=out_dir / "trials.jsonl",
+            seed=cfg.seed, log_path=out_dir / "trials.jsonl",
         )
         print(f"random search best: {tuned}")
     cfg = replace(cfg, method_params={**cfg.method_params, **tuned})

@@ -581,29 +581,28 @@ def sample_trial(space, rng):
     }
 
 
-def random_search(space, X_train, y_train, X_test, y_test, seed=0,
-                  epochs=100, log_path=None, **fixed):
-    """Seeded independent trials; best = lowest MSE on (X_test, y_test).
+def random_search(estimator, space, X_train, y_train, X_test, y_test, seed=0,
+                  log_path=None):
+    """Seeded independent trials of estimator, each with one draw of
+    SEARCHED_PARAMS and its own seed; best = lowest MSE on (X_test, y_test).
 
     Pass held-out windows that are not the reported test split (the CLI
     passes a validation fold of the training windows), or the selection
     leaks into the reported score.
 
-    Returns (best_params, trials) where trials is the full log. Each trial
-    trains with an independently derived seed, so trials could run in
-    parallel without changing results.
+    Returns (best_params, trials): the best trial's draw and seed with the
+    estimator's epochs, and the full log. Trial seeds are derived
+    independently, so trials could run in parallel without changing results.
     """
     if space.n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     rng = np.random.default_rng(seed)
     trials = []
     for trial in range(space.n_trials):
-        params = sample_trial(space, rng)
+        drawn = sample_trial(space, rng)
         trial_seed = int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
-        model = CnnClassifier(
-            epochs=epochs, seed=trial_seed, **params, **fixed
-        )
-        record = {"trial": trial, "seed": trial_seed, **params}
+        model = CnnClassifier(**{**estimator.get_params(), **drawn, "seed": trial_seed})
+        record = {"trial": trial, "seed": trial_seed, **drawn}
         try:
             model.fit(X_train, y_train)
             record["train_mse"] = model.history_["train_mse"][-1]
@@ -622,5 +621,5 @@ def random_search(space, X_train, y_train, X_test, y_test, seed=0,
         raise RuntimeError(f"all {space.n_trials} trials diverged: {trials}")
     best = min(finished, key=lambda r: r["test_mse"])
     best_params = {k: best[k] for k in (*SEARCHED_PARAMS, "seed")}
-    best_params["epochs"] = epochs
+    best_params["epochs"] = estimator.epochs
     return best_params, trials

@@ -729,25 +729,23 @@ def grid_search(X, y, criterion, grid, k_folds, seed=0):
     return dict(zip(PRE_PRUNING_PARAMS, best)), score
 
 
-def cv_ccp_alpha(X, y, criterion, k_folds, seed=0, max_depth=None,
-                 min_samples_split=2, min_samples_leaf=1):
-    """Post-pruning alpha by stratified k-fold CV mean accuracy, as CART
-    chooses it (Breiman et al. 1984, ch. 3).
+def cv_ccp_alpha(estimator, X, y, k_folds, seed=0):
+    """Post-pruning alpha for the DecisionTree estimator by stratified k-fold
+    CV mean accuracy, as CART chooses it (Breiman et al. 1984, ch. 3).
 
-    Every tree is grown with the given pre-pruning limits, those of the
-    estimator the alpha is for. Candidates are the geometric midpoints of
+    Every tree is the estimator at ccp_alpha 0, with the criterion and limits
+    of the tree the alpha prunes. Candidates are the geometric midpoints of
     consecutive distinct alphas on the pruning path of the tree grown on
     all of (X, y); the first is 0, the unpruned tree. Each fold grows one
     tree and takes its path once. A candidate's tree is the path's tree
     after every collapse whose alpha is below the candidate, which is the
-    tree DecisionTree(ccp_alpha=candidate) fits on the fold, so no
-    candidate is refit. Ties go to the larger alpha, the smaller tree.
-    Returns (alpha, cv_accuracy).
+    tree a refit at that alpha fits on the fold, so no candidate is refit.
+    Ties go to the larger alpha, the smaller tree. Returns (alpha, cv_accuracy).
     """
     X, y = check_X_y(X, y)
 
     def path_of(rows):
-        tree = DecisionTree(criterion, max_depth, min_samples_split, min_samples_leaf)
+        tree = DecisionTree(**{**estimator.get_params(), "ccp_alpha": 0.0})
         return _pruning_path(tree.fit(X[rows], y[rows]).tree_, len(rows))
 
     def grow(rows, _):

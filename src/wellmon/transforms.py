@@ -109,7 +109,9 @@ class FeatureMatrix:
             for rec in reader:
                 rows.append([float(v) for v in rec[:-1]])
                 labels.append(int(rec[-1]))
-        return cls(np.array(rows, dtype=np.float64), tuple(header[:-1]), labels)
+        # a header with no rows is a (0, d) matrix, which its consumers refuse
+        values = np.array(rows or np.empty((0, len(header) - 1)), dtype=np.float64)
+        return cls(values, tuple(header[:-1]), labels)
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def test_train_logreg(data_dir, tmp_path):
 def test_train_dtree_post_prune(data_dir, tmp_path):
     out = tmp_path / "dtree"
     code = run(["train", "dtree", "--data", data_dir, "--criterion", "entropy",
-                "--prune", "post", "--ccp-alpha", "0.01", "--out", out])
+                "--ccp-alpha", "0.01", "--out", out])
     assert code == 0
     payload = json.loads((out / "dtree_model.json").read_text())
     assert payload["criterion"] == "entropy"
@@ -149,7 +149,8 @@ def test_post_prune_alpha_comes_from_the_training_windows(tmp_path):
     cfg = PipelineConfig.from_json((out / "config.json").read_text())
     train, _, channel_names = prepare_segments(cfg, dataset.load_series_set(data))
     features = build_pipeline(cfg, channel_names=channel_names).fit_project(train)
-    alpha, _ = cv_ccp_alpha(features.values, features.labels, "entropy", 5, seed=cfg.seed)
+    alpha, _ = cv_ccp_alpha(DecisionTree("entropy"), features.values, features.labels, 5,
+                            seed=cfg.seed)
     assert cfg.method_params == {"criterion": "entropy", "ccp_alpha": alpha}
 
 
@@ -232,6 +233,12 @@ def test_train_svm(data_dir, tmp_path):
     assert "w" in payload
 
 
+def test_train_svm_records_a_numeric_gamma(data_dir, tmp_path):
+    out = tmp_path / "svm_gamma"
+    assert run(["train", "svm", "--data", data_dir, "--gamma", "0.5", "--out", out]) == 0
+    assert _written_config(out)["method_params"] == {"gamma": 0.5}
+
+
 def test_train_and_evaluate_cnn(data_dir, tmp_path):
     out = tmp_path / "cnn"
     code = run(["train", "cnn", "--data", data_dir, "--epochs", "2",
@@ -246,9 +253,9 @@ def test_train_and_evaluate_cnn(data_dir, tmp_path):
 def test_train_cnn_with_random_search(data_dir, tmp_path, monkeypatch):
     searched = {}
 
-    def spy(space, X_fit, y_fit, X_val, y_val, **kwargs):
+    def spy(estimator, space, X_fit, y_fit, X_val, y_val, **kwargs):
         searched.update(X_val=X_val, y_val=y_val)
-        return random_search(space, X_fit, y_fit, X_val, y_val, **kwargs)
+        return random_search(estimator, space, X_fit, y_fit, X_val, y_val, **kwargs)
 
     monkeypatch.setattr(cli, "random_search", spy)
     out = tmp_path / "cnn_search"
@@ -563,6 +570,17 @@ def test_empty_csv_inputs_are_data_errors(tmp_path, capsys):
     assert capsys.readouterr().err.count(f"{empty}: empty file") == 2
 
 
+def test_header_only_feature_csv_is_refused_by_name(tmp_path, capsys):
+    # a header with no rows reads as a (0, d) matrix, which each consumer
+    # refuses in its own words
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("a,b,label\n")
+    assert run(["emit-plots", "--features", header_only, "--out", tmp_path / "plots"]) == 3
+    assert "empty feature matrix" in capsys.readouterr().err
+    assert run(["pca", "--in", header_only, "--pcs", "1", "--out", tmp_path / "p.json"]) == 3
+    assert "PCA needs at least 2 rows" in capsys.readouterr().err
+
+
 def test_emit_plots(data_dir, tmp_path):
     features = tmp_path / "f.csv"
     run(["transform", "--in", data_dir, "--transform", "std", "--out", features])
@@ -611,6 +629,12 @@ def test_exit_codes(tmp_path, data_dir):
                 _svm_budget_config(tmp_path)]) == 4
     # emit-plots without inputs is a config error
     assert run(["emit-plots", "--out", tmp_path / "plots"]) == 2
+
+
+def test_emit_plots_cnn_model_needs_data(tmp_path, capsys):
+    assert run(["emit-plots", "--cnn-model", tmp_path / "cnn_model",
+                "--out", tmp_path / "plots"]) == 2
+    assert "--cnn-model needs --data" in capsys.readouterr().err
 
 
 def _svm_budget_config(tmp_path):
@@ -668,6 +692,13 @@ def test_pre_prune_grid_follows_config_transform(data_dir, tmp_path, monkeypatch
                            data_dir)
     assert X.shape[1] == 6 and np.array_equal(searched.pop("X"), X)
     assert searched == {"criterion": "entropy", "grid": _derived_grid(X, y, "entropy")}
+
+
+def test_config_file_with_a_syntax_error_exits_2(tmp_path, capsys):
+    config = tmp_path / "broken.json"
+    config.write_text('{"seed": 1,')
+    assert run(["train", "logreg", "--config", config, "--out", tmp_path / "o"]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_keyed_config_params_merge_with_method_flags(data_dir, tmp_path):
@@ -756,6 +787,52 @@ def test_trials_refuse_a_given_searched_setting(given, key, data_dir, tmp_path,
                 "--epochs", "1", *given, "--out", out]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("prune", ["pre", "post"])
+def test_prune_refuses_a_given_ccp_alpha(prune, tmp_path, monkeypatch, capsys):
+    # both prunings tune the alpha: --prune pre scores truncations of
+    # unpruned trees, and --prune post chooses ccp_alpha itself
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+
+    monkeypatch.setattr(dataset, "generate", no_data)
+    out = tmp_path / "o"
+    assert run(["train", "dtree", *COMMON, "--prune", prune, "--ccp-alpha", "0.01",
+                "--out", out]) == 2
+    assert "ccp_alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _record_cnn_fits(monkeypatch):
+    """The (in_channels, embedding_dim) of every CnnClassifier fit."""
+    fits = []
+    fit = CnnClassifier.fit
+
+    def recorded(self, X, y, *args, **kwargs):
+        fits.append((self.in_channels, self.embedding_dim))
+        return fit(self, X, y, *args, **kwargs)
+
+    monkeypatch.setattr(CnnClassifier, "fit", recorded)
+    return fits
+
+
+def test_trials_train_on_the_channels_of_the_run(data_dir, tmp_path, monkeypatch):
+    fits = _record_cnn_fits(monkeypatch)
+    out = tmp_path / "bm"
+    assert run(["train", "cnn", "--data", data_dir, "--channels", "bmx,bmy",
+                "--trials", "2", "--epochs", "1", "--out", out]) == 0
+    # two trials, then the final fit
+    assert fits == [(2, 2)] * 3
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 2
+
+
+def test_trials_keep_the_settings_they_do_not_search(data_dir, tmp_path, monkeypatch):
+    fits = _record_cnn_fits(monkeypatch)
+    config = _config_file(tmp_path, {"method_params": {"embedding_dim": 3}})
+    assert run(["train", "cnn", "--data", data_dir, "--trials", "2", "--epochs", "1",
+                "--config", config, "--out", tmp_path / "o"]) == 0
+    assert fits == [(6, 3)] * 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -352,6 +352,13 @@ def test_predict_threshold(rng):
     assert np.array_equal(model.predict(X), (probs >= 0.5).astype(int))
 
 
+def test_one_window_predicts_as_its_batch_of_one(rng):
+    X, y = _toy_data(rng)
+    model = CnnClassifier(epochs=1, seed=0).fit(X, y)
+    assert np.array_equal(model.predict_proba(X[0]), model.predict_proba(X[:1]))
+    assert np.array_equal(model.predict(X[0]), model.predict(X[:1]))
+
+
 # ---------------------------------------------------------------------------
 # gradient check
 # ---------------------------------------------------------------------------
@@ -428,7 +435,8 @@ def test_random_search_single_trial(rng, tmp_path):
     X, y = _toy_data(rng)
     space = SearchSpace(n_trials=1)
     best, trials = random_search(
-        space, X, y, X, y, seed=3, epochs=2, log_path=tmp_path / "trials.jsonl"
+        CnnClassifier(epochs=2), space, X, y, X, y, seed=3,
+        log_path=tmp_path / "trials.jsonl",
     )
     assert len(trials) == 1
     assert best["activation"] == trials[0]["activation"]
@@ -441,7 +449,7 @@ def test_random_search_single_trial(rng, tmp_path):
 def test_random_search_picks_lowest_test_mse(rng):
     X, y = _toy_data(rng, n=8)
     space = SearchSpace(n_trials=3)
-    best, trials = random_search(space, X, y, X, y, seed=0, epochs=2)
+    best, trials = random_search(CnnClassifier(epochs=2), space, X, y, X, y, seed=0)
     finished = [t for t in trials if not t["diverged"]]
     assert best["learning_rate"] == min(finished, key=lambda t: t["test_mse"])[
         "learning_rate"

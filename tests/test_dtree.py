@@ -724,9 +724,9 @@ def test_cv_ccp_alpha_is_the_refit_cv_choice(rng, criterion, decimals):
         for alpha in candidates
     ]
     best = max(range(len(scores)), key=lambda c: (scores[c], c))
-    alpha, score = cv_ccp_alpha(X, y, criterion, 5, seed=3)
+    alpha, score = cv_ccp_alpha(DecisionTree(criterion), X, y, 5, seed=3)
     assert (alpha, score) == (candidates[best], scores[best])
-    assert cv_ccp_alpha(X, y, criterion, 5, seed=3) == (alpha, score)
+    assert cv_ccp_alpha(DecisionTree(criterion), X, y, 5, seed=3) == (alpha, score)
 
 
 def test_cv_ccp_alpha_ties_go_to_the_larger_alpha(rng):
@@ -741,7 +741,7 @@ def test_cv_ccp_alpha_ties_go_to_the_larger_alpha(rng):
     y = np.array([0] * 20 + [1] * 21)
     candidates = _candidates(X, y, "gini")
     assert len(candidates) == 2
-    alpha, score = cv_ccp_alpha(X, y, "gini", 3, seed=0)
+    alpha, score = cv_ccp_alpha(DecisionTree("gini"), X, y, 3, seed=0)
     folds = stratified_kfold_indices(y, 3, seed=0)
     unpruned = cv_accuracy(lambda: DecisionTree("gini"), X, y, folds)
     assert score == unpruned
@@ -753,9 +753,9 @@ def test_cv_ccp_alpha_requires_enough_per_class():
     X = np.arange(6.0)[:, None]
     y = np.array([0, 0, 0, 0, 1, 1])
     with pytest.raises(ValueError, match="fewer than"):
-        cv_ccp_alpha(X, y, "gini", 3)
+        cv_ccp_alpha(DecisionTree("gini"), X, y, 3)
     with pytest.raises(ValueError, match="k must be >= 2"):
-        cv_ccp_alpha(X, y, "gini", 1)
+        cv_ccp_alpha(DecisionTree("gini"), X, y, 1)
 
 
 # ---------------------------------------------------------------------------
