@@ -590,9 +590,9 @@ def random_search(estimator, space, X_train, y_train, X_test, y_test, seed=0,
     passes a validation fold of the training windows), or the selection
     leaks into the reported score.
 
-    Returns (best_params, trials): the best trial's draw and seed with the
-    estimator's epochs, and the full log. Trial seeds are derived
-    independently, so trials could run in parallel without changing results.
+    Returns (best_params, trials): the best trial's draw and seed, and the
+    full log. Trial seeds are derived independently, so trials could run in
+    parallel without changing results.
     """
     if space.n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -620,6 +620,4 @@ def random_search(estimator, space, X_train, y_train, X_test, y_test, seed=0,
     if not finished:
         raise RuntimeError(f"all {space.n_trials} trials diverged: {trials}")
     best = min(finished, key=lambda r: r["test_mse"])
-    best_params = {k: best[k] for k in (*SEARCHED_PARAMS, "seed")}
-    best_params["epochs"] = estimator.epochs
-    return best_params, trials
+    return {k: best[k] for k in (*SEARCHED_PARAMS, "seed")}, trials

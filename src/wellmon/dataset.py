@@ -21,6 +21,8 @@ DEFAULT_CHANNELS = ("accx_FJ", "accy_FJ", "accx_DAS", "accy_DAS", "bmx", "bmy")
 DEFAULT_SAMPLE_RATE_HZ = 5.0
 DEFAULT_SERIES_LEN = 18001
 NOISE_LEVELS = (1, 10, 50)
+# rows save_series formats per % pass; bounds the writer's transient memory
+SAVE_BLOCK_ROWS = 4096
 
 
 class Label(IntEnum):
@@ -194,9 +196,10 @@ class GeneratorConfig:
         return self
 
 
-def _generate_one(config, series_index, label):
-    """One stationary AR(1) series. The RNG stream is derived from
-    (seed, series_index) alone, so a series does not depend on the others.
+def _generate_one(config, series_index, root):
+    """One stationary AR(1) series with class covariance root @ root. The
+    RNG stream is derived from (seed, series_index) alone, so a series does
+    not depend on the others.
 
     Draw order per series: initial state, innovations, sensor noise.
     """
@@ -208,17 +211,14 @@ def _generate_one(config, series_index, label):
     n = config.series_len
     m = len(config.channel_names)
     a = config.temporal_ar_coeff
-    cov = config.class_cov[int(label)]
-    root = sym_sqrt(cov)
     x0 = root @ rng.standard_normal(m)
     innov = rng.standard_normal((n - 1, m)) @ (np.sqrt(1.0 - a * a) * root)
     out = np.empty((n, m))
     out[0] = x0
-    for ch in range(m):
-        filtered, _ = lfilter([1.0], [1.0, -a], innov[:, ch], zi=np.array([a * x0[ch]]))
-        out[1:, ch] = filtered
-    noise_std = config.noise_level * config.base_noise_std
-    out += rng.standard_normal((n, m)) * noise_std
+    out[1:], _ = lfilter([1.0], [1.0, -a], innov, axis=0, zi=(a * x0)[None, :])
+    noise = rng.standard_normal((n, m))
+    noise *= config.noise_level * config.base_noise_std
+    out += noise
     return MultivariateSeries(out, config.sample_rate_hz, config.channel_names)
 
 
@@ -227,9 +227,10 @@ def generate(config: GeneratorConfig) -> LabeledSeriesSet:
     config.validate()
     items = []
     for label in (Label.INTACT, Label.BROKEN):
+        root = sym_sqrt(config.class_cov[int(label)])
         for j in range(config.n_series_per_class):
             series_index = int(label) * config.n_series_per_class + j
-            items.append((_generate_one(config, series_index, label), label))
+            items.append((_generate_one(config, series_index, root), label))
     return LabeledSeriesSet(tuple(items), config.noise_level, config.seed)
 
 
@@ -386,17 +387,19 @@ def preset_config(
 # ---------------------------------------------------------------------------
 
 def save_series(series, label, noise_level, seed, stem):
-    """Write <stem>.csv (header = channel names) and <stem>.json sidecar."""
+    """Write <stem>.csv (header = channel names) and <stem>.json sidecar.
+
+    The CSV holds the bytes np.savetxt writes with fmt="%.17g", formatted
+    SAVE_BLOCK_ROWS rows at a time by one % over the block's values.
+    """
     stem = Path(stem)
-    header = ",".join(series.channel_names)
-    np.savetxt(
-        stem.parent / f"{stem.name}.csv",
-        series.samples,
-        delimiter=",",
-        header=header,
-        comments="",
-        fmt="%.17g",
-    )
+    samples = series.samples
+    row = ",".join(["%.17g"] * series.n_channels) + "\n"
+    with open(stem.parent / f"{stem.name}.csv", "w") as fh:
+        fh.write(",".join(series.channel_names) + "\n")
+        for start in range(0, len(samples), SAVE_BLOCK_ROWS):
+            block = samples[start : start + SAVE_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     sidecar = {
         "label": int(label),
         "noise_level": int(noise_level),

@@ -88,13 +88,10 @@ class PipelineConfig:
             raise ConfigError(f"window_seconds must be > 0, got {self.window_seconds}")
         if self.channels is not None and len(set(self.channels)) != len(self.channels):
             raise ConfigError(f"channels repeat a name: {list(self.channels)}")
-        m = 6 if self.channels is None else len(self.channels)
-        feature_count = m if self.transform == "std" else m * (m + 1) // 2
-        if self.pcs is not None and not 1 <= self.pcs <= feature_count:
-            raise ConfigError(
-                f"pcs must lie in [1, {feature_count}] for the "
-                f"{self.transform} transform, got {self.pcs}"
-            )
+        if self.pcs is not None and self.pcs < 1:
+            raise ConfigError(f"pcs must be >= 1, got {self.pcs}")
+        if self.channels is not None:
+            self.check_pcs(self.channels)
         if not isinstance(self.method_params, dict):
             raise ConfigError("method_params must be an object")
         for method in METHODS if self._keyed() else (self.method,):
@@ -109,6 +106,17 @@ class PipelineConfig:
                     f"valid are {sorted(valid)}"
                 )
         return self
+
+    def check_pcs(self, channel_names):
+        """Refuse a pcs above the feature count of the transform on
+        channel_names: m for std, m(m+1)/2 for cov."""
+        m = len(channel_names)
+        feature_count = m if self.transform == "std" else m * (m + 1) // 2
+        if self.pcs is not None and not 1 <= self.pcs <= feature_count:
+            raise ConfigError(
+                f"pcs must lie in [1, {feature_count}] for the {self.transform} "
+                f"transform on {m} channel(s), got {self.pcs}"
+            )
 
     def _keyed(self):
         params = self.method_params
@@ -337,8 +345,10 @@ def window_segments(cfg: PipelineConfig, series_set=None):
 
 
 def prepare_segments(cfg: PipelineConfig, series_set=None):
-    """window_segments, then the train/test split."""
+    """window_segments, then the train/test split. A pcs is checked here,
+    on the channels of the windows, before anything is fitted on them."""
     segments, channel_names = window_segments(cfg, series_set)
+    cfg.check_pcs(channel_names)
     train, test = dataset_mod.split(segments, cfg.test_fraction, cfg.seed)
     return train, test, channel_names
 
@@ -421,10 +431,10 @@ def _stamp(report, cfg):
 
 def emit_feature_scatter(features: FeatureMatrix, out_dir):
     """Pairwise scatter CSVs (one per feature pair) plus per-feature marginals."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if features.n_rows == 0:
         raise DataError("empty feature matrix")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     d = features.n_features
     written = []
     for i, j in combinations(range(d), 2):

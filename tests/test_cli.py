@@ -285,6 +285,15 @@ def test_train_cnn_with_random_search(data_dir, tmp_path, monkeypatch):
     assert params == dict({key: best[key] for key in keys}, epochs=1)
 
 
+def test_random_search_records_only_what_it_tuned(data_dir, tmp_path):
+    # without --epochs, config.json keeps the estimator's default out of
+    # method_params: the search chose only the drawn settings and the seed
+    out = tmp_path / "cnn_search"
+    assert run(["train", "cnn", "--data", data_dir, "--trials", "1", "--out", out]) == 0
+    params = json.loads((out / "config.json").read_text())["method_params"]
+    assert set(params) == set(cli.TUNED_PARAMS[("cnn", "trials")])
+
+
 @pytest.mark.parametrize("argv", [
     ["dtree", "--prune", "pre", "--k-folds", "2"],
     ["cnn", "--trials", "1", "--epochs", "1"],
@@ -577,6 +586,7 @@ def test_header_only_feature_csv_is_refused_by_name(tmp_path, capsys):
     header_only.write_text("a,b,label\n")
     assert run(["emit-plots", "--features", header_only, "--out", tmp_path / "plots"]) == 3
     assert "empty feature matrix" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
     assert run(["pca", "--in", header_only, "--pcs", "1", "--out", tmp_path / "p.json"]) == 3
     assert "PCA needs at least 2 rows" in capsys.readouterr().err
 
@@ -699,6 +709,34 @@ def test_config_file_with_a_syntax_error_exits_2(tmp_path, capsys):
     config.write_text('{"seed": 1,')
     assert run(["train", "logreg", "--config", config, "--out", tmp_path / "o"]) == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def _series_dir(path, m):
+    """A generated series set of m channels, the classes differing in scale."""
+    cov = np.eye(m)
+    dataset.save_series_set(dataset.generate(dataset.GeneratorConfig(
+        n_series_per_class=2, class_cov=(cov, 2.0 * cov), series_len=1501,
+        channel_names=tuple(f"ch{i}" for i in range(m)),
+    )), path)
+    return path
+
+
+def test_pcs_is_bounded_by_the_features_of_the_data_channels(tmp_path, capsys):
+    # std has m features and cov m(m+1)/2, counted on the channels of the
+    # data; a pcs above them is a config error before any fit
+    wide, narrow = _series_dir(tmp_path / "wide", 8), _series_dir(tmp_path / "narrow", 2)
+    assert run(["train", "logreg", "--data", wide, "--transform", "std", "--pcs", "7",
+                "--out", tmp_path / "wide_std"]) == 0
+    refused = [
+        ["train", "logreg", "--data", narrow, "--pcs", "4"],
+        ["train", "logreg", *COMMON, "--transform", "std", "--pcs", "7"],
+        ["train", "logreg", *COMMON, "--pcs", "22"],
+        ["compare", "--data", narrow, "--transform", "std", "--pcs", "3"],
+    ]
+    for argv in refused:
+        assert run([*argv, "--out", tmp_path / "refused"]) == 2
+        assert "pcs must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
 
 
 def test_keyed_config_params_merge_with_method_flags(data_dir, tmp_path):

@@ -1,10 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from wellmon.dataset import (
     DEFAULT_CHANNELS,
+    SAVE_BLOCK_ROWS,
     GeneratorConfig,
     Label,
     LabeledSeriesSet,
@@ -12,10 +15,12 @@ from wellmon.dataset import (
     generate,
     load_series_set,
     preset_config,
+    save_series,
     save_series_set,
     split,
     window,
 )
+from wellmon.linalg import sym_sqrt
 
 
 def small_config(**kwargs):
@@ -125,6 +130,32 @@ def test_generate_deterministic_bitwise():
     for (sa, la), (sb, lb) in zip(a, b):
         assert la == lb
         assert np.array_equal(sa.samples, sb.samples)
+
+
+def _per_channel_series(config, series_index, label):
+    """The generator written out channel by channel: the class root taken
+    per series and one 1-D lfilter per channel, on the same draws."""
+    rng = np.random.default_rng((config.seed, series_index))
+    n, m = config.series_len, len(config.channel_names)
+    a = config.temporal_ar_coeff
+    root = sym_sqrt(config.class_cov[int(label)])
+    x0 = root @ rng.standard_normal(m)
+    innov = rng.standard_normal((n - 1, m)) @ (np.sqrt(1.0 - a * a) * root)
+    out = np.empty((n, m))
+    out[0] = x0
+    for ch in range(m):
+        filtered, _ = lfilter([1.0], [1.0, -a], innov[:, ch], zi=np.array([a * x0[ch]]))
+        out[1:, ch] = filtered
+    out += rng.standard_normal((n, m)) * (config.noise_level * config.base_noise_std)
+    return out
+
+
+@pytest.mark.parametrize("preset", ["slack", "tight"])
+@pytest.mark.parametrize("series_len", [2, 3, 301])
+def test_generate_matches_the_per_channel_filter(preset, series_len):
+    config = preset_config(preset, 2, noise_level=10, seed=5, series_len=series_len)
+    for index, (series, label) in enumerate(generate(config)):
+        assert np.array_equal(series.samples, _per_channel_series(config, index, label))
 
 
 def test_generate_stationary_covariance_matches_target():
@@ -334,6 +365,28 @@ def test_series_roundtrip(tmp_path):
     for (sa, la), (sb, lb) in zip(out, loaded):
         assert la == lb
         assert np.allclose(sa.samples, sb.samples, atol=0, rtol=0)
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e-5, 1e16, 1e17, -1e300)
+
+
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize(
+    "n", [1, SAVE_BLOCK_ROWS - 1, SAVE_BLOCK_ROWS, SAVE_BLOCK_ROWS + 1]
+)
+def test_save_series_writes_the_bytes_of_savetxt(tmp_path, rng, n, m):
+    # values of every magnitude, the special ones at the start and the end
+    samples = rng.standard_normal(n * m) * 10.0 ** rng.integers(-300, 300, n * m)
+    samples[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: n * m]
+    samples[-len(SPECIAL_VALUES):] = SPECIAL_VALUES[-n * m:]
+    names = tuple(f"ch{i}" for i in range(m))
+    # a stand-in series: MultivariateSeries refuses fewer than 2 rows
+    series = SimpleNamespace(samples=samples.reshape(n, m), channel_names=names,
+                             n_channels=m, sample_rate_hz=5.0)
+    save_series(series, Label.BROKEN, 10, 3, tmp_path / "s")
+    np.savetxt(tmp_path / "expected.csv", series.samples, delimiter=",",
+               header=",".join(names), comments="", fmt="%.17g")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 @pytest.mark.parametrize("field, value", [("noise_level", 50), ("seed", 999)])

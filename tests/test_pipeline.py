@@ -60,10 +60,15 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="noise"):
         tiny_config(noise=2).validate()
     with pytest.raises(ConfigError, match="pcs"):
-        tiny_config(pcs=22).validate()  # cov has 21 features
+        tiny_config(pcs=0).validate()
+    # the upper bound needs the run's channels; without them window_segments
+    # checks it on the data's channels
     with pytest.raises(ConfigError, match="pcs"):
-        tiny_config(transform="std", pcs=7).validate()
-    tiny_config(pcs=21).validate()
+        tiny_config(pcs=4, channels=("bmx", "bmy")).validate()  # cov has 3 features
+    with pytest.raises(ConfigError, match="pcs"):
+        tiny_config(transform="std", pcs=3, channels=("bmx", "bmy")).validate()
+    tiny_config(pcs=3, channels=("bmx", "bmy")).validate()
+    tiny_config(pcs=22).validate()
 
 
 def test_config_rejects_unknown_fields():
